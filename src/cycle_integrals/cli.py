@@ -82,7 +82,9 @@ def _build_parser():
 
     p = sub.add_parser("monodromy", help="fiber permutations around critical values")
     p.add_argument("--f", required=True)
-    p.add_argument("--basepoint", help="complex basepoint 're,im'")
+    p.add_argument("--basepoint",
+                   help="complex basepoint 're,im'; write a negative one as "
+                        "--basepoint=-0.125,0")
     p.add_argument("--real-order", action="store_true",
                    help="order an all-real fiber increasingly")
     _add_common(p)

@@ -2,9 +2,10 @@
 randomized sharpness experiments.
 
 Counts are of distinct oracle zeros away from the (deduplicated) critical
-values; for a cycle with symmetry group of order k every regular zero
-appears with multiplicity divisible by k in the oracle, and the count
-ignores multiplicities (distinct-value semantics).
+values.  The oracle multiplies distinct branch factors, so every regular
+zero is simple in it, or double when a sign symmetry of the cycle pairs
+each factor with its negative; the count ignores multiplicities
+(distinct-value semantics).
 
 Alien classification continues each displacement zero in epsilon on its
 own branch factor, with a Newton corrector and the halving-bijection
@@ -111,18 +112,19 @@ class AlienReport:
         }
 
 
-def _cluster_zeros(zeros, base_scale, settings, sym_order=1):
+def _sign_multiplicity(group):
+    """2 when some permutation maps the weights to their negatives, else 1:
+    the multiplicity of every regular zero of the oracle."""
+    return 2 if any(sign < 0 for _, sign in group.elements) else 1
+
+
+def _cluster_zeros(zeros, base_scale, settings):
     """Group oracle zeros into distinct values.
 
-    A cycle symmetry of order k makes every zero a k-fold oracle root; the
-    extraction splits such roots by up to ring_delta * root_verify**(1/k),
-    so the cluster radius widens accordingly.
+    A double zero of a sign-symmetric product is extracted at 40 digits or
+    more, which splits it far below the cluster radius.
     """
-    allowance = 0.0
-    if sym_order > 1:
-        allowance = 2.0 * settings.ring_delta * settings.root_verify ** (1.0 / sym_order)
-    tol = lambda z: (settings.cluster_scale * (base_scale + abs(z))
-                     + allowance * (1.0 + abs(z)))
+    tol = lambda z: settings.cluster_scale * (base_scale + abs(z))
     return cluster_points(zeros, tol)
 
 
@@ -166,14 +168,16 @@ def count_tangential_zeros(inst, settings=DEFAULT):
         raise IdenticallyZeroIntegral(
             "the integral vanishes identically on the cycle (tangential center)")
     crit = critical_values(inst.f, settings)
-    sym = symmetry_group(inst.cycle, settings).order
-    clusters = _cluster_zeros(oracle.zeros, oracle.radius, settings, sym)
+    base_scale = settings.radius_factor * (1.0 + crit.max_abs)
+    group = symmetry_group(inst.cycle, settings)
+    mult = _sign_multiplicity(group)
+    clusters = _cluster_zeros(oracle.zeros, base_scale, settings)
     regular, excluded = _split_regular(clusters, crit.critical_values, settings)
     bound = bound_tangential(inst.m, inst.n)
     n_eff = _effective_tangential_degree(inst)
     cert = regular_at_infinity(inst.cycle, n_eff, settings) if n_eff else None
     count = len(regular)
-    assert count <= bound, (count, bound)
+    _check_bound(count, bound)
     report = ZeroReport(
         kind="tangential",
         distinct_regular_zeros=regular,
@@ -181,14 +185,14 @@ def count_tangential_zeros(inst, settings=DEFAULT):
         bound=bound,
         count=count,
         sharp=count == bound,
-        symmetry_order_used=sym,
+        symmetry_order_used=group.order,
         fitted_degree=oracle.fitted_degree,
         degree_bound=oracle.declared_degree_bound,
         fit_residual=oracle.fit_residual,
         precision_dps=oracle.precision_dps,
         certificate=cert.as_dict() if cert is not None else None,
     )
-    return _finalize(report, count_tangential_zeros, inst, settings)
+    return _finalize(report, count_tangential_zeros, inst, settings, mult)
 
 
 def count_infinitesimal_zeros(inst, settings=DEFAULT):
@@ -209,12 +213,13 @@ def count_infinitesimal_zeros(inst, settings=DEFAULT):
     if oracle.identically_zero:
         raise IdenticallyZeroIntegral(
             "the displacement vanishes identically on the deformed cycle")
-    sym = symmetry_group(inst.cycle, settings).order
-    clusters = _cluster_zeros(oracle.zeros, base_scale, settings, sym)
+    group = symmetry_group(inst.cycle, settings)
+    mult = _sign_multiplicity(group)
+    clusters = _cluster_zeros(oracle.zeros, base_scale, settings)
     regular, excluded = _split_regular(clusters, crit_eps.critical_values, settings)
     bound = bound_infinitesimal(inst.m, inst.n)
     count = len(regular)
-    assert count <= bound, (count, bound)
+    _check_bound(count, bound)
     report = ZeroReport(
         kind="infinitesimal",
         distinct_regular_zeros=regular,
@@ -222,28 +227,33 @@ def count_infinitesimal_zeros(inst, settings=DEFAULT):
         bound=bound,
         count=count,
         sharp=count == bound,
-        symmetry_order_used=sym,
+        symmetry_order_used=group.order,
         fitted_degree=oracle.fitted_degree,
         degree_bound=oracle.declared_degree_bound,
         fit_residual=oracle.fit_residual,
         precision_dps=oracle.precision_dps,
         certificate=None,
     )
-    return _finalize(report, count_infinitesimal_zeros, inst, settings)
+    return _finalize(report, count_infinitesimal_zeros, inst, settings, mult)
 
 
-def _finalize(report, counter, inst, settings):
-    """Multiplicity audit with one forced-precision retry as a safety net."""
-    bad = any(mult < 1 or (report.symmetry_order_used > 1
-                           and mult % report.symmetry_order_used)
-              for _, mult in report.distinct_regular_zeros)
+def _check_bound(count, bound):
+    if count > bound:
+        raise NumericalError(f"{count} distinct zeros exceed the bound {bound}")
+
+
+def _finalize(report, counter, inst, settings, mult):
+    """Multiplicity audit with one forced-precision retry as a safety net:
+    under a sign symmetry a double root split into two clusters shows up
+    as an odd multiplicity."""
+    bad = any(m < 1 or m % mult for _, m in report.distinct_regular_zeros)
     if not bad:
         return report
-    if settings.precision_bits is None and report.precision_dps is None:
+    if settings.precision_bits is None:
         return counter(inst, settings.with_overrides(precision_bits=150))
     raise CycleIntegralsError(
         f"zero multiplicities {[m for _, m in report.distinct_regular_zeros]} "
-        f"not divisible by symmetry order {report.symmetry_order_used}")
+        f"not divisible by the sign multiplicity {mult}")
 
 
 @dataclass(frozen=True)
@@ -431,7 +441,10 @@ def classify_alien(inst, schedule, settings=DEFAULT):
     n_regular = sum(b["class"] == "regular" for b in branches)
     n_alien = sum(b["class"] == "alien" for b in branches)
 
-    assert n_regular + n_alien == report.count
+    if n_regular + n_alien != report.count:
+        raise NumericalError(
+            f"{n_regular} regular + {n_alien} alien branches for "
+            f"{report.count} displacement zeros")
     return AlienReport(
         epsilon_schedule=tuple(schedule),
         branches=tuple(branches),

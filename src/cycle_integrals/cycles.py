@@ -2,10 +2,11 @@
 bound and infinity-count formulas.
 
 A cycle is an integer weight vector (n_1, ..., n_m) with zero sum attached
-to the m points of a fiber.  Its signed symmetry group is the quotient
-factor between oracle roots and distinct zeros of the integral, and the
-regularity-at-infinity certificate decides whether the Bezout count is
-attained without losses on the hyperplane at infinity.
+to the m points of a fiber.  Its signed symmetry group decides the
+multiplicity of the oracle's zeros: 2 when some permutation maps the
+weights to their negatives, 1 otherwise.  The regularity-at-infinity
+certificate decides whether the Bezout count is attained without losses
+on the hyperplane at infinity.
 """
 
 import cmath

@@ -1,16 +1,21 @@
 """Abelian integrals, displacement values, degree reduction, and the
 branch-complete product oracles.
 
-The tangential oracle is N(t) = prod over all orderings sigma of the fiber
-of sum_j n_j g(z_sigma(j)(t)); the infinitesimal oracle takes the deformed
-fiber of f + eps*g and multiplies over injections of the weight slots into
-the fiber, which quotients the permutations of the extra zero-weight roots
-exactly once.  Both are single-valued polynomials in t recovered by
-sampling on a circle enclosing the critical values and reading the
-coefficients off a DFT; the declared degree bound comes from the growth of
-the branches at infinity.  When double precision cannot separate the
-coefficient scales the build escalates through an mpmath precision ladder
-and re-verifies every extracted zero against the branches.
+The tangential oracle is the product of the distinct branch factors
+sum_j n_j g(z_sigma(j)(t)) over the orderings sigma of the fiber; the
+infinitesimal oracle takes the deformed fiber of f + eps*g and the distinct
+factors over injections of the weight slots into the fiber.  Monodromy
+permutes the distinct factors, so both products are single-valued
+polynomials in t, recovered by sampling on a circle enclosing the critical
+values and reading the coefficients off a DFT.  The product over all
+assignments is this one to the power K, the number of assignments per
+distinct factor, so the declared degree bound is the growth of the branches
+at infinity divided by K.  Every zero is simple, or double when a sign
+symmetry of the cycle pairs each factor F with -F.  When double precision
+cannot separate the coefficient scales the build escalates through an
+mpmath precision ladder and re-verifies every extracted zero against the
+branches; a product with double zeros always escalates, and its
+double-precision fit only sets the sampling radius.
 """
 
 import cmath
@@ -23,9 +28,10 @@ import mpmath as mp
 import numpy as np
 
 from .config import DEFAULT, precision_dps
-from .cycles import Cycle, symmetry_group
-from .errors import (FitRejected, IdentityViolation, InputError,
-                     LengthMismatch, SingularDesignSystem)
+# perfbench/tracer.py wraps symmetry_group where this module binds it
+from .cycles import Cycle, symmetry_group  # noqa: F401
+from .errors import (CycleIntegralsError, FitRejected, IdentityViolation,
+                     InputError, LengthMismatch, SingularDesignSystem)
 from .poly import ComplexPoly, RatPoly, as_fraction, critical_values, roots_raw
 from .precision import aberth_mp, dft_fit_mp, horner_mp
 from .tracking import solve_fiber
@@ -58,10 +64,6 @@ class Instance:
     @property
     def n(self):
         return self.g.degree
-
-    @property
-    def normalization_scale(self):
-        return self.f.leading
 
     def deformed_poly(self):
         """f + eps*g with eps kept exact rational."""
@@ -167,13 +169,10 @@ def reduce_deformation(f, g):
 
 # -- product oracles ---------------------------------------------------------
 
-def _dps_ladder(settings, min_dps):
+def _dps_ladder(settings):
     forced = precision_dps(settings)
-    levels = []
-    if forced is None and (min_dps is None or min_dps == 0):
-        levels.append(None)
-    start = max(forced or 0, min_dps or 0, 40)
-    d = start
+    levels = [] if forced else [None]
+    d = max(forced or 0, 40)
     while d <= settings.max_dps:
         levels.append(d)
         d *= 2
@@ -183,11 +182,16 @@ def _dps_ladder(settings, min_dps):
 
 
 class _ProductSampler:
-    """Evaluates the branch product N(t) at double or extended precision.
+    """Evaluates the product of the distinct branch factors at double or
+    extended precision.
 
-    Assignments whose restriction to the support of the weight vector
-    coincide produce identical factors, so the product is evaluated on the
-    distinct support patterns and powered by their multiplicities.
+    The factor of an assignment phi is sum_j w_j h(z_phi(j)), so it depends
+    only on the set of (weight, fiber index) pairs on the support of the
+    weights; the first assignment seen represents its set.  Every set comes
+    from the same number ``power`` of assignments, so the product over all
+    assignments is the product sampled here to that power.  ``signed`` says
+    whether the factors come in pairs F, -F (a sign symmetry of the
+    weights), which makes every zero of the product double.
     """
 
     def __init__(self, p, integrand, weights, assignments):
@@ -199,11 +203,12 @@ class _ProductSampler:
         support = [j for j, w in enumerate(weights) if w]
         patterns = {}
         for phi in assignments:
-            key = tuple(phi[j] for j in support)
-            patterns[key] = patterns.get(key, 0) + 1
-        self.patterns = tuple(patterns)
-        self.counts = np.array(list(patterns.values()), dtype=np.int64)
-        self.total_factors = int(self.counts.sum())
+            key = frozenset((weights[j], phi[j]) for j in support)
+            patterns.setdefault(key, tuple(phi[j] for j in support))
+        self.patterns = tuple(patterns.values())
+        self.power = len(assignments) // len(self.patterns)
+        self.signed = all(frozenset((-w, i) for w, i in key) in patterns
+                          for key in patterns)
         self.index = np.array(self.patterns, dtype=np.intp)
         self.wvec = np.array([complex(weights[j]) for j in support])
         self.wabs = float(sum(abs(w) for w in self.weights))
@@ -211,7 +216,7 @@ class _ProductSampler:
 
     @property
     def n_factors(self):
-        return self.total_factors
+        return len(self.patterns)
 
     def factors_d(self, roots):
         vals = self.ic.evaluate(np.asarray(roots, dtype=complex))
@@ -249,7 +254,8 @@ class _ProductSampler:
             return factors, vmax
 
     def branch_residual_d(self, t, settings):
-        """min over assignments of |factor| relative to the factor scale."""
+        """min over the distinct factors of |factor| relative to the factor
+        scale."""
         roots = self.fiber_d(t, settings)
         factors, vmax = self.factors_d(roots)
         scale = self.wabs * vmax + 1e-300
@@ -262,36 +268,20 @@ class _ProductSampler:
         absf = np.abs(factors)
         if np.any(absf == 0.0):
             return -math.inf
-        return float(np.sum(self.counts * np.log(absf)))
+        return float(np.sum(np.log(absf)))
 
-    def log_abs_mp(self, t, dps):
-        with mp.workdps(dps):
-            roots = self.fiber_mp(mp.mpc(t), dps)
-            factors, _ = self.factors_mp(roots, dps)
-            total = mp.mpf(0)
-            for count, v in zip(self.counts, factors):
-                a = abs(v)
-                if a == 0:
-                    return -math.inf
-                total += int(count) * mp.log(a)
-            return float(total)
-
-    def ring_ratio(self, t, settings, dps=None):
+    def ring_ratio(self, t, settings):
         """|N| at a claimed zero vs max |N| on a small surrounding ring.
 
-        Scale free and multiplicity friendly: a genuine zero of
-        multiplicity k extracted with error e scores ~ (e/delta)^k, while a
-        phantom root of the fitted polynomial scores O(1).
+        Scale free: a genuine zero of multiplicity k extracted with error e
+        scores ~ (e/delta)^k, while a phantom root of the fitted polynomial
+        scores O(1).
         """
         delta = settings.ring_delta * (1.0 + abs(t))
         ring = [t + delta * cmath.exp(1j * math.pi * (2 * k + 1) / 4)
                 for k in range(4)]
-        if dps is None:
-            center = self.log_abs_d(t, settings)
-            edge = max(self.log_abs_d(z, settings) for z in ring)
-        else:
-            center = self.log_abs_mp(t, dps)
-            edge = max(self.log_abs_mp(z, dps) for z in ring)
+        center = self.log_abs_d(t, settings)
+        edge = max(self.log_abs_d(z, settings) for z in ring)
         if center == -math.inf:
             return 0.0
         if edge == -math.inf:
@@ -309,7 +299,6 @@ def _fit_double(sampler, degree_bound, radius, settings):
     all_zero = True
     log_prescale = None
     prev = None
-    counts = sampler.counts
     for k in range(k_count):
         t = radius * cmath.exp(2j * cmath.pi * k / k_count)
         roots = sampler.fiber_d(t, settings, init=prev)
@@ -320,8 +309,8 @@ def _fit_double(sampler, degree_bound, radius, settings):
         if float(np.min(absf)) > factor_zero_tol * scale:
             all_zero = False
         if log_prescale is None:
-            log_prescale = float(np.sum(counts * np.log(absf)) / counts.sum())
-        samples[k] = np.prod((factors * np.exp(-log_prescale)) ** counts)
+            log_prescale = float(np.mean(np.log(absf)))
+        samples[k] = np.prod(factors * np.exp(-log_prescale))
     if all_zero:
         return None, None, 0.0, log_prescale * sampler.n_factors
     max_abs = float(np.max(np.abs(samples)))
@@ -340,8 +329,6 @@ def _fit_mp(sampler, degree_bound, radius, settings, dps):
         log_prescale = None
         prev = None
         tiny = mp.mpf(10) ** (-3 * dps)
-        counts = [int(c) for c in sampler.counts]
-        total = sampler.n_factors
         for k in range(k_count):
             t = radius * mp.expjpi(mp.mpf(2 * k) / k_count)
             roots = sampler.fiber_mp(t, dps, init=prev)
@@ -351,12 +338,12 @@ def _fit_mp(sampler, degree_bound, radius, settings, dps):
             if min(abs(v) for v in factors) > factor_zero_tol * scale:
                 all_zero = False
             if log_prescale is None:
-                log_prescale = sum(c * mp.log(abs(v) + tiny)
-                                   for c, v in zip(counts, factors)) / total
+                log_prescale = sum(mp.log(abs(v) + tiny)
+                                   for v in factors) / sampler.n_factors
             rescale = mp.exp(-log_prescale)
             value = mp.mpc(1)
-            for c, v in zip(counts, factors):
-                value *= (v * rescale) ** c
+            for v in factors:
+                value *= v * rescale
             samples.append(value)
         if all_zero:
             return None, None, 0.0, float(log_prescale * sampler.n_factors)
@@ -400,17 +387,16 @@ def _verify_zeros(sampler, zeros, settings):
                for z in reps)
 
 
-def _build_oracle(kind, sampler, degree_bound, radius, settings, min_dps,
-                  mult=1):
+def _build_oracle(kind, sampler, degree_bound, radius, settings):
     """Sample, fit, extract, and ring-verify at increasing precision.
 
-    ``mult`` is the expected zero multiplicity (the symmetry order of the
-    cycle); it drives the accuracy demanded from the root extraction,
-    since a k-fold root converges only linearly and its location error is
-    the k-th root of the residual.
+    For a product with double zeros the double-precision fit only checks
+    the sampling radius: it locates a double zero to about the square root
+    of its residual, so whether its ring test passes would depend on the
+    conditioning of the draw, and it seldom does.
     """
     last_residual = None
-    for dps in _dps_ladder(settings, min_dps):
+    for dps in _dps_ladder(settings):
         if dps is None:
             coeffs, max_abs, residual, log_scale = _fit_double(
                 sampler, degree_bound, radius, settings)
@@ -432,10 +418,10 @@ def _build_oracle(kind, sampler, degree_bound, radius, settings, min_dps,
                 u_roots = np.roots(np.array(coeffs[fitted::-1], dtype=complex))
                 zeros = tuple(complex(radius * u) for u in u_roots)
             else:
-                # roots only need ~1e-12 relative accuracy downstream;
-                # multiple roots converge linearly, so cap the demand but
+                # roots only need ~1e-12 relative accuracy downstream and
+                # a double root converges linearly, so cap the demand but
                 # let it grow with the working precision
-                tol_exp = max(12 * mult + 8, (dps - 4) // 2)
+                tol_exp = max(32, (dps - 4) // 2)
                 u_roots = aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp)
                 zeros = tuple(complex(radius * u) for u in u_roots)
         # a crowd of zeros at or beyond the rim means the circle is too
@@ -443,6 +429,8 @@ def _build_oracle(kind, sampler, degree_bound, radius, settings, min_dps,
         outside = [z for z in zeros if abs(z) > 0.8 * radius]
         if zeros and len(outside) >= max(1, len(zeros) // 4):
             raise _RadiusTooSmall(max(abs(z) for z in zeros))
+        if dps is None and sampler.signed:
+            continue
         if _verify_zeros(sampler, zeros, settings):
             return OraclePoly(kind, tuple(complex(c) for c in coeffs),
                               radius, log_scale / math.log(10.0),
@@ -461,8 +449,7 @@ def _matching_zero_sets(a, b):
     return all(abs(x - y) <= 1e-4 * (1.0 + abs(x)) for x, y in zip(za, zb))
 
 
-def _build_adaptive(kind, sampler, degree_bound, base_radius, settings, min_dps,
-                    mult=1):
+def _build_adaptive(kind, sampler, degree_bound, base_radius, settings):
     """Grow the sampling circle until it encloses the zero set.
 
     The zeros of the branch product are not bounded by the critical-value
@@ -477,7 +464,7 @@ def _build_adaptive(kind, sampler, degree_bound, base_radius, settings, min_dps,
     for _ in range(8):
         try:
             oracle = _build_oracle(kind, sampler, degree_bound, radius,
-                                   settings, min_dps, mult=mult)
+                                   settings)
         except _RadiusTooSmall as exc:
             radius = max(8.0 * radius, 4.0 * exc.far)
             continue
@@ -510,10 +497,12 @@ def _check_caps(m, n_fiber, degree_bound, settings):
 
 
 def build_tangential_oracle(inst, settings=DEFAULT):
-    """Product over all fiber orderings of the integral of g on the cycle.
+    """Product of the distinct branch factors of the integral of g on the
+    cycle over all fiber orderings.
 
-    When deg f divides deg g the deformation is reduced first, so the
-    declared degree bound is deg(g_tilde) * (m-1)!.
+    When deg f divides deg g the deformation is reduced first.  The product
+    over all orderings has degree at most deg(g_tilde) * (m-1)!; the declared
+    bound is that divided by the number of orderings per distinct factor.
     """
     m = inst.m
     g_eff = inst.g
@@ -533,14 +522,14 @@ def build_tangential_oracle(inst, settings=DEFAULT):
     _check_caps(m, m, degree_bound, settings)
     assignments = tuple(itertools.permutations(range(m)))
     sampler = _ProductSampler(inst.f, g_eff, inst.cycle.weights, assignments)
-    mult = symmetry_group(inst.cycle, settings).order
-    min_dps = None if mult <= 2 else 10 * mult + 20
-    return _build_adaptive("tangential", sampler, degree_bound, radius,
-                           settings, min_dps, mult=mult)
+    return _build_adaptive("tangential", sampler, degree_bound // sampler.power,
+                           radius, settings)
 
 
 def build_infinitesimal_oracle(inst, settings=DEFAULT):
-    """Product over injections of the weight slots into the deformed fiber.
+    """Product of the distinct branch factors over injections of the weight
+    slots into the deformed fiber, with the degree bound of the product over
+    all injections divided by the number of injections per distinct factor.
 
     Uses the integrand f when deg g >= deg f (lower hypersurface degree
     via the exact displacement identity) and g when deg g < deg f.
@@ -563,10 +552,8 @@ def build_infinitesimal_oracle(inst, settings=DEFAULT):
     radius = settings.radius_factor * (1.0 + crit_eps.max_abs)
     assignments = tuple(itertools.permutations(range(n_fiber), m))
     sampler = _ProductSampler(p, integrand, inst.cycle.weights, assignments)
-    mult = symmetry_group(inst.cycle, settings).order
-    min_dps = None if mult <= 2 else 10 * mult + 20
-    return _build_adaptive("infinitesimal", sampler, degree_bound, radius,
-                           settings, min_dps, mult=mult)
+    return _build_adaptive("infinitesimal", sampler,
+                           degree_bound // sampler.power, radius, settings)
 
 
 # -- Brieskorn data ----------------------------------------------------------
@@ -597,7 +584,9 @@ def brieskorn_generators(f, n):
             zpow = zpow * z
         fpow = fpow * f
     basis = BrieskornBasis(generators=tuple(gens), dimension=brieskorn_dimension(m, n))
-    assert len(basis.generators) == basis.dimension
+    if len(basis.generators) != basis.dimension:
+        raise CycleIntegralsError(
+            f"{len(basis.generators)} generators for dimension {basis.dimension}")
     return basis
 
 
@@ -643,7 +632,7 @@ def design_g_with_zeros(f, cycle, targets, n, branch=None, settings=DEFAULT):
     for ck, gen in zip(x, basis.generators):
         for d, c in enumerate(gen.coeffs):
             coeffs[d] += ck * complex(c)
-    g = ComplexPoly(tuple(coeffs))
+    g = ComplexPoly(tuple(complex(c) for c in coeffs))
     # independent verification through fresh fiber solves
     scale = max(1.0, float(np.max(np.abs(a))))
     for t in targets:

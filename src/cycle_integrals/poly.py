@@ -418,15 +418,3 @@ def critical_values(f, settings=DEFAULT):
 def divrem(a, b):
     """Module-level alias for RatPoly.divrem."""
     return a.divrem(b)
-
-
-def compose(p, q):
-    return p.compose(q)
-
-
-def evaluate(p, x):
-    return p.evaluate(x)
-
-
-def derivative(p):
-    return p.derivative()

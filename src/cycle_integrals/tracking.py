@@ -11,7 +11,6 @@ counterclockwise by argument as seen from the basepoint.
 """
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,12 +30,6 @@ class Fiber:
     roots: tuple
     poly: ComplexPoly
     basepoint_tag: str
-    degenerate: bool = False
-
-    @property
-    def min_separation(self):
-        rs = self.roots
-        return min(abs(a - b) for a, b in itertools.combinations(rs, 2))
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,24 @@ class TestMonodromyCommand:
         assert data["result"]["loops"][0]["permutation"] == [2, 1]
         assert data["result"]["infinity_permutation"] == [2, 1]
 
+    def test_negative_basepoint(self, capsys):
+        code, out = run(capsys, "monodromy", "--f", "[0,0,-1,0,1]",
+                        "--basepoint=-0.125,0")
+        assert code == 0
+        data = json.loads(out)
+        assert data["result"]["basepoint"] == ["-0.125", "0.0"]
+        assert len(data["result"]["loops"]) == 2
+
+
+class TestDesignCommand:
+    def test_coefficients_are_plain_floats(self, capsys):
+        code, out = run(capsys, "design-g", "--f", "[0,0,1,1]", "--cycle",
+                        "[1,2,-3]", "--n", "4", "--targets", "1,2")
+        assert code == 0
+        g = json.loads(out)["result"]["g"]
+        assert g and all(isinstance(float(part), float)
+                         for coeff in g for part in coeff)
+
 
 class TestBrieskornCommand:
     def test_dimension_only(self, capsys):

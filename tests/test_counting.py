@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cycle_integrals import counting
 from cycle_integrals.config import DEFAULT
 from cycle_integrals.cycles import Cycle, random_generic_cycle
 from cycle_integrals.errors import IdenticallyZeroIntegral, InputError
@@ -44,6 +45,30 @@ class TestTangentialCount:
         report = count_tangential_zeros(inst)
         assert report.count == 8 and report.sharp
 
+    def test_distinct_zeros_kept_apart_at_grown_radius(self):
+        # trial 18 of the seed-2026 (4,3) generic suite: the sampling circle
+        # grows far beyond the critical values, and zeros clustered at that
+        # radius's scale used to merge and be excluded as critical
+        inst = Instance(RatPoly([2, Fraction(9, 2), Fraction(7, 3),
+                                 Fraction(-11, 3), 1]),
+                        RatPoly([Fraction(-7, 2), -1, 7, 2]),
+                        Cycle((-6, 0, 2, 4)))
+        report = count_tangential_zeros(inst)
+        assert report.count == 18 and report.sharp
+
+    def test_double_zero_next_to_critical_value_kept_apart(self):
+        # a sign-symmetric cycle: every zero is double.  One sits 3.4e-4
+        # from the critical value -40.0293 of f, next to the zero on it; a
+        # cluster radius widened for double zeros split in doubles merged
+        # the two, and the count was 2 where the argument principle finds 3
+        inst = Instance(RatPoly([0, -12, Fraction(-10, 3), 1]),
+                        RatPoly([2, -1, -6, -1, -9]),
+                        Cycle((-1, 0, 1)))
+        report = count_tangential_zeros(inst)
+        assert report.precision_dps == 40
+        assert report.count == 3
+        assert [m for _, m in report.distinct_regular_zeros] == [2, 2, 2]
+
     def test_identically_zero_raises(self):
         inst = Instance(PAPER.f, PAPER.f * 2, Cycle((1, 2, -3)))
         with pytest.raises(IdenticallyZeroIntegral):
@@ -59,7 +84,8 @@ class TestInfinitesimalCount:
         report = count_infinitesimal_zeros(PAPER_EPS)
         assert report.count == 2
         assert report.bound == 4
-        assert all(mult == 2 for _, mult in report.distinct_regular_zeros)
+        # (1, 1, -2) has no sign symmetry, so both zeros are simple
+        assert all(mult == 1 for _, mult in report.distinct_regular_zeros)
 
     def test_requires_epsilon(self):
         with pytest.raises(InputError):
@@ -133,6 +159,12 @@ class TestExperiments:
         a = run_sharpness_experiment(3, 2, "infinitesimal", 4, seed=5)
         b = run_sharpness_experiment(3, 2, "infinitesimal", 4, seed=5)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_count_above_bound_is_recorded(self, monkeypatch):
+        monkeypatch.setattr(counting, "bound_tangential", lambda m, n: 0)
+        summary = run_sharpness_experiment(3, 2, "tangential", 2, seed=2026)
+        assert summary["counts"] == []
+        assert [f["error"] for f in summary["failures"]] == ["NumericalError"] * 2
 
     def test_counts_never_exceed_bound(self):
         summary = run_sharpness_experiment(3, 3, "tangential", 6, seed=1)

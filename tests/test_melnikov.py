@@ -121,18 +121,20 @@ class TestReduction:
 
 
 class TestTangentialOracle:
-    def test_paper_example_is_quartic_power(self):
-        # exact closed form: the product over all orderings collapses to
-        # a constant multiple of (t - 4/27)^4
+    def test_paper_example_is_square(self):
+        # exact closed form: the product of the three distinct branch
+        # factors (each ordering pair swapping the two unit weights gives
+        # one factor) is a constant multiple of (t - 4/27)^2
         oracle = build_tangential_oracle(Instance(PAPER_F, PAPER_G, PAPER_C))
-        assert oracle.fitted_degree == 4
+        assert oracle.declared_degree_bound == 2
+        assert oracle.fitted_degree == 2
         assert not oracle.identically_zero
-        cs = np.array(oracle.coeffs[:5])
-        cs = cs / cs[4]
+        cs = np.array(oracle.coeffs[:3])
+        cs = cs / cs[2]
         r = oracle.radius
-        expect = np.array([math.comb(4, k) * (-4 / 27) ** (4 - k) * r ** k
-                           for k in range(5)])
-        expect = expect / expect[4]
+        expect = np.array([math.comb(2, k) * (-4 / 27) ** (2 - k) * r ** k
+                           for k in range(3)])
+        expect = expect / expect[2]
         assert np.max(np.abs(cs - expect)) < 1e-10
         assert all(abs(z - 4 / 27) < 1e-6 for z in oracle.zeros)
 
@@ -189,8 +191,10 @@ class TestInfinitesimalOracle:
     def test_paper_example_closed_form_roots(self):
         inst = Instance(PAPER_F, PAPER_G, PAPER_C, epsilon=Fraction(1, 100))
         oracle = build_infinitesimal_oracle(inst)
-        assert oracle.declared_degree_bound == 4
-        assert oracle.fitted_degree == 4
+        # the swap of the two unit weights pairs the 6 injections into 3
+        # distinct factors, so the bound 4 of the full product halves
+        assert oracle.declared_degree_bound == 2
+        assert oracle.fitted_degree == 2
         # independent closed form: the factor product vanishes where the
         # deformed polynomial takes equal values at the two stationary
         # points of the factor, i.e. t = p(s) for 9s^2 + 3s - A = 0 with
