@@ -253,14 +253,6 @@ class _ProductSampler:
                 factors.append(acc)
             return factors, vmax
 
-    def branch_residual_d(self, t, settings):
-        """min over the distinct factors of |factor| relative to the factor
-        scale."""
-        roots = self.fiber_d(t, settings)
-        factors, vmax = self.factors_d(roots)
-        scale = self.wabs * vmax + 1e-300
-        return float(np.min(np.abs(factors))) / scale
-
     def log_abs_d(self, t, settings):
         """log |N(t)| up to the constant prescale (-inf at exact zeros)."""
         roots = self.fiber_d(t, settings)

@@ -3,12 +3,13 @@
 Used by the oracle builder when double precision cannot separate the
 coefficient scales (singular perturbations spread the zeros of the
 infinitesimal oracle over many orders of magnitude).  Every function takes
-an explicit ``dps`` so results are deterministic.
+an explicit ``dps`` so results are deterministic.  A cold-start root solve
+begins from the companion-matrix roots of the coefficients rounded to
+doubles, so the mpmath iteration only polishes them.
 """
 
-import math
-
 import mpmath as mp
+import numpy as np
 
 from .errors import NonConvergence
 
@@ -26,9 +27,30 @@ def horner_mp(coeffs, x):
     return acc
 
 
+def _double_seed(c):
+    """Companion-matrix roots of the monic ascending list ``c`` rounded to
+    complex doubles, or None when a coefficient does not fit in a double
+    (its rounding is infinite, or zero where it is not) or a root is not
+    finite."""
+    cd = np.array([complex(v) for v in reversed(c)])
+    if not np.all(np.isfinite(cd)) or any(
+            x == 0 and v != 0 for x, v in zip(cd, reversed(c))):
+        return None
+    z = np.roots(cd)
+    return [mp.mpc(v) for v in z] if np.all(np.isfinite(z)) else None
+
+
+def _distinct(z):
+    return len({(mp.nstr(v.real, 12), mp.nstr(v.imag, 12)) for v in z}) == len(z)
+
+
 def aberth_mp(coeffs, dps, init=None, max_iter=400, tol_exp=None):
     """All roots of an ascending mpc coefficient list at ``dps`` digits.
 
+    The iteration starts from ``init`` when it holds ``d`` distinct points,
+    else from the double-precision companion roots when the coefficients
+    fit in doubles and the roots are distinct at 12 digits, else from a
+    circle enclosing the roots.
     ``tol_exp`` caps the residual demand at 10**-tol_exp; multiple roots
     converge only linearly, so callers that need limited root accuracy
     should not pay for the full working precision.
@@ -56,11 +78,12 @@ def aberth_mp(coeffs, dps, init=None, max_iter=400, tol_exp=None):
             la = float(mp.mag(zk)) if zk != 0 else -1e9
             return max(lc + i * la for i, lc in enumerate(clog2))
 
+        z = None
         if init is not None and len(init) == d:
             z = [to_mpc(v) for v in init]
-            if len({(mp.nstr(v.real, 12), mp.nstr(v.imag, 12)) for v in z}) < d:
-                init = None
-        if init is None or len(init) != d:
+        if z is None or not _distinct(z):
+            z = _double_seed(c)
+        if z is None or not _distinct(z):
             radius = 1 + max(abs(v) for v in c[:-1])
             z = [mp.mpf("0.7") * radius * mp.expjpi(2 * (k + mp.mpf("0.27")) / d + mp.mpf("0.13"))
                  for k in range(d)]
