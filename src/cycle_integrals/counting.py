@@ -29,7 +29,7 @@ from .errors import (BranchMatchingAmbiguous, IdenticallyZeroIntegral,
                      InputError, CycleIntegralsError, NumericalError)
 from .melnikov import (Instance, brieskorn_dimension, build_infinitesimal_oracle,
                        build_tangential_oracle, reduce_deformation)
-from .poly import RatPoly, cluster_points, critical_values, roots_raw
+from .poly import RatPoly, cluster_points, critical_values, lex_sorted, roots_raw
 from .tracking import _match, critical_exclusion
 
 
@@ -148,8 +148,8 @@ def _split_regular(clusters, crit_values, settings):
             excluded.append(center)
         else:
             regular.append((center, len(members)))
-    regular.sort(key=lambda zm: (zm[0].real, zm[0].imag))
-    return tuple(regular), tuple(excluded)
+    width = lambda z: settings.tol_cluster * (1.0 + abs(z))
+    return tuple(lex_sorted(regular, width, key=lambda zm: zm[0])), tuple(excluded)
 
 
 def _effective_tangential_degree(inst):

@@ -2,10 +2,15 @@
 
 ``RatPoly`` is the exact layer (arbitrary-precision rationals, no rounding
 anywhere); ``ComplexPoly`` is its numeric mirror and the only lossy step.
-The root finder is a simultaneous Aberth-Ehrlich iteration with a
-companion-matrix fallback, plus an mpmath twin for extended precision.
+Every double-precision root solve runs one simultaneous Aberth-Ehrlich
+kernel on Python complex scalars, with a companion-matrix fallback.  The
+fibers it solves have degree 8 or less, where numpy's per-call overhead on
+arrays of a few entries would cost more than the arithmetic.
+``precision.aberth_mp`` is its mpmath twin for extended precision.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,59 +266,83 @@ class CriticalData:
 
 # -- numeric root finding ----------------------------------------------------
 
-def _aberth_numpy(coeffs, init, tol, max_iter):
-    """Vectorized Aberth-Ehrlich iteration; returns (roots, converged)."""
-    c = np.asarray(coeffs, dtype=complex)
-    c = c / c[-1]
+def _aberth(coeffs, init, tol, max_iter):
+    """Aberth-Ehrlich iteration on complex scalars; returns (roots, converged).
+
+    Every root takes the simultaneous (Jacobi) step from the previous
+    iterates.  A root is accepted, and no longer moved, once
+    |p(z)| <= tol * sum |c_i| |z|^i with both sides finite.  Two coincident
+    iterates, or one that is not finite, end the iteration at once,
+    unconverged, with the last finite iterates.
+    """
+    lead = coeffs[-1]
+    c = [a / lead for a in reversed(coeffs)]
+    absc = [abs(a) for a in c]
     d = len(c) - 1
-    dc = c[1:] * np.arange(1, d + 1)
-    absc = np.abs(c)
-    z = np.array(init, dtype=complex)
-
-    def horner(vals, x):
-        acc = np.zeros_like(x)
-        for a in vals[::-1]:
-            acc = acc * x + a
-        return acc
-
-    converged = np.zeros(d, dtype=bool)
-    for _ in range(max_iter):
-        p = horner(c, z)
-        scale = horner(absc, np.abs(z).astype(complex)).real + 1e-300
-        converged = np.abs(p) <= tol * scale
-        if converged.all():
-            return z, True
-        dp = horner(dc, z)
-        bad = np.abs(dp) < 1e-300
-        dp = np.where(bad, 1.0, dp)
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (1.0 / diff).sum(axis=1) - 1.0
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        step = w / denom
-        step = np.where(bad, 0.05 * (1 + np.abs(z)), step)
-        z = z - np.where(converged, 0.0, step)
-    return z, bool(converged.all())
+    dc = [a * (d - i) for i, a in enumerate(c[:-1])]
+    z = [complex(v) for v in init]
+    todo = list(range(d))
+    try:
+        for _ in range(max_iter):
+            p = {}
+            for k in todo:
+                zk = z[k]
+                pk = 0j
+                scale = 0.0
+                r = abs(zk)
+                for a, b in zip(c, absc):
+                    pk = pk * zk + a
+                    scale = scale * r + b
+                # an overflowed residual or bound accepts nothing
+                if not abs(pk) <= tol * (scale + 1e-300) < math.inf:
+                    p[k] = pk
+            if not p:
+                return np.array(z), True
+            new = list(z)
+            for k, pk in p.items():
+                zk = z[k]
+                dpk = 0j
+                for a in dc:
+                    dpk = dpk * zk + a
+                if abs(dpk) < 1e-300:
+                    new[k] = zk - 0.05 * (1 + abs(zk))
+                    continue
+                s = 0j
+                for j, zj in enumerate(z):
+                    if j != k:
+                        if zj == zk:
+                            return np.array(z), False
+                        s += 1.0 / (zk - zj)
+                w = pk / dpk
+                denom = 1.0 - w * s
+                if abs(denom) < 1e-300:
+                    denom = 1.0
+                new[k] = zk - w / denom
+                if not cmath.isfinite(new[k]):
+                    return np.array(z), False
+            z = new
+            todo = list(p)
+    except OverflowError:  # abs() of a finite complex beyond the float range
+        pass
+    return np.array(z), False
 
 
 def _initial_circle(coeffs):
-    c = np.asarray(coeffs, dtype=complex)
-    c = c / c[-1]
-    d = len(c) - 1
-    radius = 1.0 + float(np.max(np.abs(c[:-1]))) if d > 0 else 1.0
-    angles = 2.0 * np.pi * (np.arange(d) + 0.27) / d + 0.4
-    return 0.7 * radius * np.exp(1j * angles)
+    d = len(coeffs) - 1
+    radius = 1.0 + max(abs(a / coeffs[-1]) for a in coeffs[:-1])
+    return [0.7 * radius * cmath.exp(1j * (2.0 * math.pi * (k + 0.27) / d + 0.4))
+            for k in range(d)]
 
 
 def roots_raw(coeffs, settings=DEFAULT, init=None):
     """All complex roots of an ascending coefficient list (no clustering).
 
-    Tries Aberth-Ehrlich first (warm-startable via ``init``), falls back to
-    companion-matrix eigenvalues, and raises NonConvergence only if both
-    leave a residual above tolerance.
+    Runs the scalar Aberth-Ehrlich kernel from ``init`` when it holds d
+    points distinct at 14 decimals, else from a circle enclosing the roots.
+    If that does not converge, the kernel polishes the companion-matrix
+    eigenvalues for up to 50 steps instead; if that fails too, the result
+    is accepted at a 1e4 times looser residual, and NonConvergence is
+    raised otherwise.  Returns an ndarray of the d roots.
     """
     coeffs = [complex(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -326,37 +355,54 @@ def roots_raw(coeffs, settings=DEFAULT, init=None):
     if d == 1:
         return np.array([-coeffs[0] / coeffs[1]])
 
+    start = None
     if init is not None and len(init) == d:
-        start = np.asarray(init, dtype=complex)
-        if len(np.unique(np.round(start, 14))) < d:
-            start = _initial_circle(coeffs)
-    else:
+        start = [complex(v) for v in init]
+        if len({complex(round(v.real, 14), round(v.imag, 14)) for v in start}) < d:
+            start = None
+    if start is None:
         start = _initial_circle(coeffs)
 
-    z, ok = _aberth_numpy(coeffs, start, settings.tol_root, settings.max_newton_iter)
+    tol = settings.tol_root
+    z, ok = _aberth(coeffs, start, tol, settings.max_newton_iter)
     if ok:
         return z
 
     # companion fallback (numpy expects descending order)
-    z = np.roots(np.array(coeffs[::-1], dtype=complex))
-    z, ok = _aberth_numpy(coeffs, z, settings.tol_root, 50)
+    z = np.roots(np.array(coeffs[::-1]))
+    z, ok = _aberth(coeffs, z, tol, 50)
     if ok:
         return z
-    # accept a slightly looser residual before giving up
-    c = np.asarray(coeffs, dtype=complex)
-    absc = np.abs(c)
-    p = np.zeros_like(z)
-    s = np.zeros(len(z))
-    for a, aa in zip(c[::-1], absc[::-1]):
-        p = p * z + a
-        s = s * np.abs(z) + aa
-    if np.all(np.abs(p) <= 1e4 * settings.tol_root * (s + 1e-300)):
+    # accept a slightly looser residual before giving up: a one-step run
+    # reports converged only if its first residual test passes
+    z, ok = _aberth(coeffs, z, 1e4 * tol, 1)
+    if ok:
         return z
     raise NonConvergence(f"root finder failed on degree {d}")
 
 
+def lex_sorted(items, width, key=lambda z: z):
+    """``items`` sorted by (re, im) of ``key(item)``, where a real part within
+    ``width(z)`` of the one before it counts as equal to it.
+
+    Conjugate zeros of a real problem have equal real parts in exact
+    arithmetic, so their order must not follow the sign of rounding noise.
+    Only the order changes; nothing is merged.
+    """
+    runs = []
+    for item in sorted(items, key=lambda it: key(it).real):
+        z = key(item)
+        if runs and z.real - last <= width(z):
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+        last = z.real
+    return [it for run in runs for it in sorted(run, key=lambda it: key(it).imag)]
+
+
 def cluster_points(points, tol_of_point):
-    """Single-linkage clustering; returns list of (center, members)."""
+    """Single-linkage clustering; returns (center, members) pairs in
+    ``lex_sorted`` order of the centers, with ``tol_of_point`` as width."""
     pts = list(points)
     n = len(pts)
     parent = list(range(n))
@@ -379,15 +425,14 @@ def cluster_points(points, tol_of_point):
     for members in groups.values():
         center = complex(sum(members) / len(members))
         out.append((center, [complex(m) for m in members]))
-    out.sort(key=lambda cm: (cm[0].real, cm[0].imag))
-    return out
+    return lex_sorted(out, tol_of_point, key=lambda cm: cm[0])
 
 
 def roots(p, settings=DEFAULT):
     """Roots of a ComplexPoly with multiplicities.
 
     Roots within the cluster tolerance merge with summed multiplicity; the
-    returned pairs are sorted lexicographically by (re, im).
+    returned pairs are sorted by ``lex_sorted`` at the same tolerance.
     """
     if p.is_zero:
         raise ZeroPolynomial("roots of the zero polynomial")
@@ -409,7 +454,7 @@ def critical_values(f, settings=DEFAULT):
     tol = lambda v: settings.tol_cluster * (1.0 + abs(v))
     clustered = cluster_points(values, tol)
     return CriticalData(
-        critical_points=tuple(sorted(points.tolist(), key=lambda z: (z.real, z.imag))),
+        critical_points=tuple(lex_sorted(points.tolist(), tol)),
         critical_values=tuple(c for c, _ in clustered),
         clustering_tolerance=settings.tol_cluster,
     )

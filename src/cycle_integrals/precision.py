@@ -44,13 +44,38 @@ def _distinct(z):
     return len({(mp.nstr(v.real, 12), mp.nstr(v.imag, 12)) for v in z}) == len(z)
 
 
+def _newton_polygon_start(c):
+    """Bini's start for the monic ascending list ``c``: for each edge of the
+    upper convex hull of (i, log2|c_i|), of width k and slope s, k points on
+    the circle of radius 2**-s, and one point at 0 per vanishing low
+    coefficient.  Root moduli spread over hundreds of orders of magnitude
+    are then each started at their own scale."""
+    d = len(c) - 1
+    hull = []
+    for q in [(i, float(mp.log(abs(v), 2))) for i, v in enumerate(c) if v != 0]:
+        # drop the last vertex while it lies on or below the chord to q
+        while len(hull) >= 2 and (
+                (hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1])
+                >= (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(q)
+    z = [mp.mpc(0)] * hull[0][0]
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        k = j - i
+        radius = mp.mpf(2) ** ((yi - yj) / k)
+        z += [radius * mp.expjpi(2 * (m + mp.mpf("0.27")) / k + mp.mpf(2 * i) / d
+                                 + mp.mpf("0.13"))
+              for m in range(k)]
+    return z
+
+
 def aberth_mp(coeffs, dps, init=None, max_iter=400, tol_exp=None):
     """All roots of an ascending mpc coefficient list at ``dps`` digits.
 
     The iteration starts from ``init`` when it holds ``d`` distinct points,
     else from the double-precision companion roots when the coefficients
-    fit in doubles and the roots are distinct at 12 digits, else from a
-    circle enclosing the roots.
+    fit in doubles and the roots are distinct at 12 digits, else from the
+    Newton-polygon circles of ``_newton_polygon_start``.
     ``tol_exp`` caps the residual demand at 10**-tol_exp; multiple roots
     converge only linearly, so callers that need limited root accuracy
     should not pay for the full working precision.
@@ -84,9 +109,7 @@ def aberth_mp(coeffs, dps, init=None, max_iter=400, tol_exp=None):
         if z is None or not _distinct(z):
             z = _double_seed(c)
         if z is None or not _distinct(z):
-            radius = 1 + max(abs(v) for v in c[:-1])
-            z = [mp.mpf("0.7") * radius * mp.expjpi(2 * (k + mp.mpf("0.27")) / d + mp.mpf("0.13"))
-                 for k in range(d)]
+            z = _newton_polygon_start(c)
 
         for _ in range(max_iter):
             p = [horner_mp(c, zk) for zk in z]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .config import DEFAULT
 from .errors import (InputError, MatchingAmbiguous, NearCriticalValue,
                      NumericalError, OrbitExplosion, PathThroughCriticalDisk)
-from .poly import ComplexPoly, critical_values, poly_gcd, roots_raw, RatPoly
+from .poly import (ComplexPoly, critical_values, lex_sorted, poly_gcd, roots_raw,
+                   RatPoly)
 
 ORBIT_CAP = 100_000
 
@@ -92,18 +93,19 @@ def per_cv_radii(critical, settings=DEFAULT):
     return radii
 
 
-def _sorted_roots(values, ordering):
+def _sorted_roots(values, ordering, settings):
     if ordering == "real":
         imag = max(abs(z.imag) for z in values)
         scale = 1.0 + max(abs(z) for z in values)
         if imag > 1e-6 * scale:
             raise InputError("real ordering requested for a non-real fiber")
         return tuple(sorted(values, key=lambda z: z.real))
-    return tuple(sorted(values, key=lambda z: (z.real, z.imag)))
+    width = lambda z: settings.tol_cluster * (1.0 + abs(z))
+    return tuple(lex_sorted(values, width))
 
 
 def solve_fiber(p, t, settings=DEFAULT, ordering="lex", critical=None):
-    """Fiber of p at t in canonical order (lexicographic by (re, im))."""
+    """Fiber of p at t in canonical order (``lex_sorted`` by (re, im))."""
     if critical is not None:
         r = exclusion_radius(critical, settings)
         for cv in critical.critical_values:
@@ -113,7 +115,7 @@ def solve_fiber(p, t, settings=DEFAULT, ordering="lex", critical=None):
     raw = roots_raw(p.minus(t).coeffs, settings)
     values = [complex(z) for z in raw]
     tag = f"{ordering}@{t!r}"
-    return Fiber(t=complex(t), roots=_sorted_roots(values, ordering),
+    return Fiber(t=complex(t), roots=_sorted_roots(values, ordering, settings),
                  poly=p, basepoint_tag=tag)
 
 

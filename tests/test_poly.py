@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from cycle_integrals import poly
+from cycle_integrals.config import DEFAULT
 from cycle_integrals.errors import DivisionByZeroPolynomial, ZeroPolynomial
 from cycle_integrals.poly import (ComplexPoly, RatPoly, critical_values,
-                                  poly_gcd, roots, roots_raw)
+                                  lex_sorted, poly_gcd, roots, roots_raw)
 
 
 def close(a, b, tol=1e-9):
@@ -99,7 +101,6 @@ class TestRoots:
             assert abs(val) <= 1e-9 * (local + scale)
 
     def test_multiplicity_clustering(self):
-        from cycle_integrals.config import DEFAULT
         # (z-1)^3 (z+2); a triple root scatters ~cbrt(eps) at double
         # precision, so merge with a matching cluster tolerance
         p = RatPoly([-2, 5, -3, -1, 1])
@@ -108,6 +109,103 @@ class TestRoots:
         assert [m for _, m in got] == [1, 3]
         assert close(got[0][0], -2, 1e-7)
         assert close(got[1][0], 1, 1e-3)
+
+
+def _same_multiset(found, expected, rel):
+    unused = list(expected)
+    for z in found:
+        k = min(range(len(unused)), key=lambda i: abs(z - unused[i]))
+        if abs(z - unused[k]) > rel * (1 + abs(unused[k])):
+            return False
+        unused.pop(k)
+    return not unused
+
+
+def _residuals_pass(coeffs, zs, tol):
+    for z in zs:
+        val = 0j
+        for c in reversed(coeffs):
+            val = val * z + c
+        if not abs(val) <= tol * sum(abs(c) * abs(z) ** i
+                                     for i, c in enumerate(coeffs)):
+            return False
+    return True
+
+
+class _KernelSpy:
+    """Records the start and the outcome of every Aberth kernel run."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        kernel = poly._aberth
+
+        def spy(coeffs, init, tol, max_iter):
+            start = [complex(v) for v in init]
+            z, ok = kernel(coeffs, init, tol, max_iter)
+            self.calls.append((start, max_iter, [complex(v) for v in z], ok))
+            return z, ok
+
+        monkeypatch.setattr(poly, "_aberth", spy)
+
+
+class TestAberthKernel:
+    def test_random_degrees_match_numpy(self):
+        rng = np.random.default_rng(11)
+        for d in range(2, 13):
+            for _ in range(5):
+                coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+                zs = roots_raw(list(coeffs))
+                assert isinstance(zs, np.ndarray) and len(zs) == d
+                assert _same_multiset(zs, np.roots(coeffs[::-1]), 1e-9)
+
+    def test_warm_start_follows_nearby_polynomial(self, monkeypatch):
+        old = [1.0, -2.0, 3.0, -4.0, 1.0]
+        new = [1.0 + 1e-3j, -2.0, 3.0, -4.0, 1.0]
+        spy = _KernelSpy(monkeypatch)
+        zs = roots_raw(new, init=roots_raw(old))
+        assert _same_multiset(zs, np.roots(new[::-1]), 1e-9)
+        # the warm start converged without the companion fallback
+        assert spy.calls[-1][1] == DEFAULT.max_newton_iter and spy.calls[-1][3]
+
+    def test_double_root_returns_both_copies(self):
+        # (z - 1)^2 (z + 2) = z^3 - 3z + 2
+        zs = roots_raw([2, -3, 0, 1])
+        # a double root is only determined to about sqrt(tol_root)
+        assert sum(abs(z - 1) < 10 * DEFAULT.tol_root ** 0.5 for z in zs) == 2
+        assert sum(abs(z + 2) < 1e-12 for z in zs) == 1
+
+    def test_zero_root(self):
+        zs = roots_raw([0, -1, 0, 1])
+        assert _same_multiset(zs, [-1, 0, 1], 1e-12)
+        assert min(abs(z) for z in zs) < 1e-12
+
+    def test_coincident_init_falls_back_to_circle(self, monkeypatch):
+        coeffs = [-6.0, 11.0, -6.0, 1.0]
+        spy = _KernelSpy(monkeypatch)
+        zs = roots_raw(coeffs, init=[1.0, 1.0 + 1e-16, 3.0])
+        assert spy.calls[0][0] == poly._initial_circle([complex(c) for c in coeffs])
+        assert _same_multiset(zs, [1, 2, 3], 1e-9)
+
+    def test_non_finite_iterate_reaches_companion_fallback(self, monkeypatch):
+        coeffs = [-1.0, 0.0, 0.0, 1.0]
+        init = [1e200, -1e200, 1e200j]
+        spy = _KernelSpy(monkeypatch)
+        zs = roots_raw(coeffs, init=init)
+        start, _, stopped, ok = spy.calls[0]
+        # the first step overflows: the run stops at once, on its start
+        assert not ok and stopped == start == init
+        assert spy.calls[1][1] == 50
+        assert _residuals_pass(coeffs, zs, DEFAULT.tol_root)
+        assert _same_multiset(zs, np.roots(coeffs[::-1]), 1e-9)
+
+
+@pytest.mark.parametrize("noise", [(1e-17, -1e-17), (-1e-17, 1e-17),
+                                   (1e-17, 1e-17), (-1e-17, -1e-17)])
+def test_lex_order_ignores_noise_in_equal_real_parts(noise):
+    plus_i, minus_i = complex(noise[0], 1.0), complex(noise[1], -1.0)
+    width = lambda z: DEFAULT.tol_cluster * (1.0 + abs(z))
+    for values in ([plus_i, minus_i], [minus_i, plus_i]):
+        assert lex_sorted(values + [2.0, -2.0], width) == [-2.0, minus_i, plus_i, 2.0]
 
 
 class TestCriticalValues:

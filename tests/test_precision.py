@@ -93,3 +93,57 @@ class TestAberthMp:
             assert sum(abs(z - 1) < 1e-15 for z in found) == 2
             others = [z for z in found if abs(z - 1) >= 1e-15]
             assert _match(others, roots[2:], mp.mpf(10) ** -40)
+
+
+class TestNewtonPolygonStart:
+    """Polynomials that do not fit in doubles and whose root moduli lie
+    hundreds of orders of magnitude from the coefficient-bound circle."""
+
+    dps = 60
+
+    def _check(self, coeffs, expected):
+        with mp.workdps(self.dps):
+            coeffs = [mp.mpc(c) for c in coeffs]
+            # no double seed: the fallback start is the only one
+            assert _double_seed([c / coeffs[-1] for c in coeffs]) is None
+            found = aberth_mp(coeffs, self.dps)
+            assert len(found) == len(expected)
+            assert _within_residual(coeffs, found, self.dps)
+            assert _match(found, expected, mp.mpf(10) ** -40)
+
+    def _ring(self, radius, d, offset):
+        return [radius * mp.expjpi(mp.mpf(2 * k + offset) / d) for k in range(d)]
+
+    def test_huge_constant_term(self):
+        # z^3 - 1e400
+        with mp.workdps(self.dps):
+            roots = self._ring(mp.cbrt(mp.mpf("1e400")), 3, 0)
+        self._check(["-1e400", 0, 0, 1], roots)
+
+    def test_huge_leading_coefficient(self):
+        # 1e400 z^3 - 1
+        with mp.workdps(self.dps):
+            roots = self._ring(mp.cbrt(mp.mpf("1e-400")), 3, 0)
+        self._check([-1, 0, 0, "1e400"], roots)
+
+    def test_tiny_constant_term_all_roots_small(self):
+        # z^6 + 1e-400
+        with mp.workdps(self.dps):
+            roots = self._ring(mp.root(mp.mpf("1e-400"), 6), 6, 1)
+        self._check(["1e-400", 0, 0, 0, 0, 0, 1], roots)
+
+    def test_tiny_roots_next_to_unit_roots(self):
+        # z^2 (z^4 - 1) + 1e-400: two roots near +-1e-200, none exactly 0
+        with mp.workdps(self.dps):
+            roots = [mp.mpf("1e-200"), mp.mpf("-1e-200")] + self._ring(1, 4, 0)
+        self._check(["1e-400", 0, -1, 0, 0, 0, 1], roots)
+
+    def test_vanishing_low_coefficients_start_at_zero(self):
+        # z^2 (z^4 - 1): the double seed holds 0 twice, so the Newton-polygon
+        # start applies and puts the double root exactly at 0
+        with mp.workdps(self.dps):
+            coeffs = [mp.mpc(c) for c in (0, 0, -1, 0, 0, 0, 1)]
+            found = aberth_mp(coeffs, self.dps)
+            assert sum(z == 0 for z in found) == 2
+            assert _match([z for z in found if z != 0], self._ring(1, 4, 0),
+                          mp.mpf(10) ** -40)
