@@ -134,7 +134,8 @@ def _split_regular(clusters, crit_values, settings):
     The exclusion radius adapts to the observed cluster scatter: a cluster
     is a critical-value artifact when its center lies within its own
     extraction noise of the value.  Genuine zeros merely close to a
-    critical value (alien limits approaching it) survive.
+    critical value (alien limits approaching it) survive.  Both tuples are
+    in ``lex_sorted`` order.
     """
     regular = []
     excluded = []
@@ -148,8 +149,8 @@ def _split_regular(clusters, crit_values, settings):
             excluded.append(center)
         else:
             regular.append((center, len(members)))
-    width = lambda z: settings.tol_cluster * (1.0 + abs(z))
-    return tuple(lex_sorted(regular, width, key=lambda zm: zm[0])), tuple(excluded)
+    return (tuple(lex_sorted(regular, settings.tol_cluster, key=lambda zm: zm[0])),
+            tuple(lex_sorted(excluded, settings.tol_cluster)))
 
 
 def _effective_tangential_degree(inst):

@@ -100,8 +100,7 @@ def _sorted_roots(values, ordering, settings):
         if imag > 1e-6 * scale:
             raise InputError("real ordering requested for a non-real fiber")
         return tuple(sorted(values, key=lambda z: z.real))
-    width = lambda z: settings.tol_cluster * (1.0 + abs(z))
-    return tuple(lex_sorted(values, width))
+    return tuple(lex_sorted(values, settings.tol_cluster))
 
 
 def solve_fiber(p, t, settings=DEFAULT, ordering="lex", critical=None):

@@ -69,6 +69,15 @@ class TestTangentialCount:
         assert report.count == 3
         assert [m for _, m in report.distinct_regular_zeros] == [2, 2, 2]
 
+    def test_excluded_zeros_ordered_at_root_tolerance(self):
+        # the real parts differ by 1e-7: more than tol_cluster * (1 + |z|)
+        # but less than the cluster radius, so the order is by real part
+        left, right = complex(0.0, 1.0), complex(1e-7, -1.0)
+        for zeros in ([left, right], [right, left]):
+            clusters = counting._cluster_zeros(zeros, 1.0, DEFAULT)
+            regular, excluded = counting._split_regular(clusters, zeros, DEFAULT)
+            assert regular == () and excluded == (left, right)
+
     def test_identically_zero_raises(self):
         inst = Instance(PAPER.f, PAPER.f * 2, Cycle((1, 2, -3)))
         with pytest.raises(IdenticallyZeroIntegral):

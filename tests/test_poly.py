@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -74,6 +75,9 @@ class TestRoots:
         got = roots(RatPoly([0, 2, 3]).to_complex())
         vals = sorted(z.real for z, _ in got)
         assert vals == pytest.approx([-2 / 3, 0.0], abs=1e-12)
+        # z^3 - z = (z + 1) z (z - 1)
+        got = roots(RatPoly([0, -1, 0, 1]).to_complex())
+        assert [z for z, _ in got] == pytest.approx([-1, 0, 1], abs=1e-12)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
@@ -81,12 +85,14 @@ class TestRoots:
 
     def test_root_sum_matches_coefficient(self):
         rng = np.random.default_rng(3)
-        for _ in range(15):
-            d = int(rng.integers(2, 9))
+        random_degrees = (int(rng.integers(2, 9)) for _ in range(15))
+        for d in itertools.chain(random_degrees, range(2, 13)):
             coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
             coeffs[-1] = 1.0
             zs = roots_raw(list(coeffs))
+            assert isinstance(zs, np.ndarray) and len(zs) == d
             assert abs(zs.sum() - (-coeffs[-2])) <= 1e-7 * (1 + abs(coeffs[-2]))
+            assert _same_multiset(zs, np.roots(coeffs[::-1]), 1e-9)
 
     def test_residuals_small(self):
         rng = np.random.default_rng(5)
@@ -149,15 +155,6 @@ class _KernelSpy:
 
 
 class TestAberthKernel:
-    def test_random_degrees_match_numpy(self):
-        rng = np.random.default_rng(11)
-        for d in range(2, 13):
-            for _ in range(5):
-                coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
-                zs = roots_raw(list(coeffs))
-                assert isinstance(zs, np.ndarray) and len(zs) == d
-                assert _same_multiset(zs, np.roots(coeffs[::-1]), 1e-9)
-
     def test_warm_start_follows_nearby_polynomial(self, monkeypatch):
         old = [1.0, -2.0, 3.0, -4.0, 1.0]
         new = [1.0 + 1e-3j, -2.0, 3.0, -4.0, 1.0]
@@ -173,11 +170,6 @@ class TestAberthKernel:
         # a double root is only determined to about sqrt(tol_root)
         assert sum(abs(z - 1) < 10 * DEFAULT.tol_root ** 0.5 for z in zs) == 2
         assert sum(abs(z + 2) < 1e-12 for z in zs) == 1
-
-    def test_zero_root(self):
-        zs = roots_raw([0, -1, 0, 1])
-        assert _same_multiset(zs, [-1, 0, 1], 1e-12)
-        assert min(abs(z) for z in zs) < 1e-12
 
     def test_coincident_init_falls_back_to_circle(self, monkeypatch):
         coeffs = [-6.0, 11.0, -6.0, 1.0]
@@ -203,9 +195,9 @@ class TestAberthKernel:
                                    (1e-17, 1e-17), (-1e-17, -1e-17)])
 def test_lex_order_ignores_noise_in_equal_real_parts(noise):
     plus_i, minus_i = complex(noise[0], 1.0), complex(noise[1], -1.0)
-    width = lambda z: DEFAULT.tol_cluster * (1.0 + abs(z))
     for values in ([plus_i, minus_i], [minus_i, plus_i]):
-        assert lex_sorted(values + [2.0, -2.0], width) == [-2.0, minus_i, plus_i, 2.0]
+        assert (lex_sorted(values + [2.0, -2.0], DEFAULT.tol_cluster)
+                == [-2.0, minus_i, plus_i, 2.0])
 
 
 class TestCriticalValues:
