@@ -6,16 +6,18 @@ sum_j n_j g(z_sigma(j)(t)) over the orderings sigma of the fiber; the
 infinitesimal oracle takes the deformed fiber of f + eps*g and the distinct
 factors over injections of the weight slots into the fiber.  Monodromy
 permutes the distinct factors, so both products are single-valued
-polynomials in t, recovered by sampling on a circle enclosing the critical
-values and reading the coefficients off a DFT.  The product over all
-assignments is this one to the power K, the number of assignments per
-distinct factor, so the declared degree bound is the growth of the branches
-at infinity divided by K.  Every zero is simple, or double when a sign
-symmetry of the cycle pairs each factor F with -F.  When double precision
-cannot separate the coefficient scales the build escalates through an
-mpmath precision ladder and re-verifies every extracted zero against the
-branches; a product with double zeros always escalates, and its
-double-precision fit only sets the sampling radius.
+polynomials in t, recovered by sampling on one circle of radius
+radius_factor * (1 + max |critical value|) and reading the coefficients off
+a DFT.  The product over all assignments is this one to the power K, the
+number of assignments per distinct factor, so the declared degree bound is
+the growth of the branches at infinity divided by K.  Every zero is simple,
+or double when a sign symmetry of the cycle pairs each factor F with -F.
+Zeros far outside the circle make the top coefficients small; the circle
+stays, and the build climbs an mpmath precision ladder until the fit
+resolves them, re-verifying every extracted zero against the branches.  A
+double-precision fit is accepted only at the full declared degree and
+never for a product with double zeros; a fit at 40 digits or more may be
+shorter than the bound.
 """
 
 import cmath
@@ -76,9 +78,14 @@ class Instance:
 class OraclePoly:
     """Fitted single-valued product polynomial with its audit trail.
 
-    ``coeffs`` are in the scaled variable u = t/radius with an overall
-    magnitude 10**scale_log10 removed; zeros are reported in t units and
-    each has been re-verified against a vanishing branch.
+    ``coeffs`` are in the scaled variable u = t/radius, where ``radius``
+    is the critical-value circle the product was sampled on, with an
+    overall magnitude 10**scale_log10 removed; zeros are reported in t
+    units and each has been re-verified against a vanishing branch.
+    ``precision_dps`` is the rung of the precision ladder whose fit was
+    accepted (None for doubles, which only a fit of the full declared
+    degree passes); ``fitted_degree`` may fall short of the declared bound
+    only at 40 digits or more.
     """
 
     kind: str
@@ -346,22 +353,21 @@ def _fit_mp(sampler, degree_bound, radius, settings, dps):
         return coeffs[:degree_bound + 1], max_abs, residual, float(log_prescale * sampler.n_factors)
 
 
-def _fitted_degree(coeffs, tail_abs, max_abs):
-    thresh = max(10.0 * tail_abs, 1e-13 * max_abs)
+def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
+    """Index of the top coefficient above the fit noise.
+
+    The noise floor is the working precision: 1e-13 of the largest
+    coefficient in doubles, 10**(3 - dps) of it at ``dps`` digits, so an
+    extended fit keeps top coefficients that doubles cannot see.
+    """
+    floor = 1e-13 if dps is None else mp.mpf(10) ** (3 - dps)
+    thresh = max(10.0 * tail_abs, floor * max_abs)
     deg = 0
     for d in range(len(coeffs) - 1, -1, -1):
         if abs(coeffs[d]) > thresh:
             deg = d
             break
     return deg
-
-
-class _RadiusTooSmall(Exception):
-    """Extraction put zeros well outside the sampling circle."""
-
-    def __init__(self, far):
-        super().__init__(f"zero magnitudes near {far}")
-        self.far = far
 
 
 def _verify_zeros(sampler, zeros, settings):
@@ -380,12 +386,19 @@ def _verify_zeros(sampler, zeros, settings):
 
 
 def _build_oracle(kind, sampler, degree_bound, radius, settings):
-    """Sample, fit, extract, and ring-verify at increasing precision.
+    """Sample on one circle, fit, extract and ring-verify at increasing
+    precision.
 
-    For a product with double zeros the double-precision fit only checks
-    the sampling radius: it locates a double zero to about the square root
-    of its residual, so whether its ring test passes would depend on the
-    conditioning of the draw, and it seldom does.
+    The circle stays fixed: the DFT recovers the coefficients of the
+    product exactly wherever its zeros lie, and zeros far outside the
+    circle only make the top coefficients small, which a higher rung of
+    the ladder resolves.  A double fit is accepted only at the full
+    declared degree, since doubles cannot tell a top coefficient 1e-13
+    below the largest from noise; a fit at 40 digits or more may be
+    shorter.  A product with double zeros never accepts its double fit:
+    it locates a double zero to about the square root of its residual, so
+    whether its ring test passes would depend on the conditioning of the
+    draw, and it seldom does.
     """
     last_residual = None
     for dps in _dps_ladder(settings):
@@ -403,7 +416,9 @@ def _build_oracle(kind, sampler, degree_bound, radius, settings):
             continue
         tail_abs = residual * max_abs
         with mp.workdps(dps or 15):
-            fitted = _fitted_degree(coeffs, tail_abs, max_abs)
+            fitted = _fitted_degree(coeffs, tail_abs, max_abs, dps)
+            if dps is None and (sampler.signed or fitted < degree_bound):
+                continue
             if fitted == 0:
                 zeros = ()
             elif dps is None:
@@ -416,13 +431,6 @@ def _build_oracle(kind, sampler, degree_bound, radius, settings):
                 tol_exp = max(32, (dps - 4) // 2)
                 u_roots = aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp)
                 zeros = tuple(complex(radius * u) for u in u_roots)
-        # a crowd of zeros at or beyond the rim means the circle is too
-        # small; growing it beats burning more precision
-        outside = [z for z in zeros if abs(z) > 0.8 * radius]
-        if zeros and len(outside) >= max(1, len(zeros) // 4):
-            raise _RadiusTooSmall(max(abs(z) for z in zeros))
-        if dps is None and sampler.signed:
-            continue
         if _verify_zeros(sampler, zeros, settings):
             return OraclePoly(kind, tuple(complex(c) for c in coeffs),
                               radius, log_scale / math.log(10.0),
@@ -431,52 +439,6 @@ def _build_oracle(kind, sampler, degree_bound, radius, settings):
     raise FitRejected(
         f"{kind} oracle fit failed at every precision (last residual "
         f"{last_residual})")
-
-
-def _matching_zero_sets(a, b):
-    if len(a.zeros) != len(b.zeros):
-        return False
-    za = sorted(a.zeros, key=lambda z: (abs(z), z.real, z.imag))
-    zb = sorted(b.zeros, key=lambda z: (abs(z), z.real, z.imag))
-    return all(abs(x - y) <= 1e-4 * (1.0 + abs(x)) for x, y in zip(za, zb))
-
-
-def _build_adaptive(kind, sampler, degree_bound, base_radius, settings):
-    """Grow the sampling circle until it encloses the zero set.
-
-    The zeros of the branch product are not bounded by the critical-value
-    scale, and a circle far inside them leaves the fit with an impossible
-    dynamic range.  The radius grows geometrically until the fitted degree
-    reaches the declared bound with all zeros well inside, or until the
-    result is stable under further growth.
-    """
-    radius = base_radius
-    best = None
-    last_error = None
-    for _ in range(8):
-        try:
-            oracle = _build_oracle(kind, sampler, degree_bound, radius,
-                                   settings)
-        except _RadiusTooSmall as exc:
-            radius = max(8.0 * radius, 4.0 * exc.far)
-            continue
-        except FitRejected as exc:
-            last_error = exc
-            radius *= 8.0
-            continue
-        if oracle.identically_zero:
-            return oracle
-        if oracle.fitted_degree == degree_bound:
-            return oracle
-        if best is not None and oracle.fitted_degree == best.fitted_degree \
-                and _matching_zero_sets(oracle, best):
-            return oracle
-        best = oracle
-        radius *= 8.0
-    if best is not None:
-        return best
-    raise FitRejected(f"{kind} oracle failed at every sampling radius") \
-        from last_error
 
 
 def _check_caps(m, n_fiber, degree_bound, settings):
@@ -514,8 +476,8 @@ def build_tangential_oracle(inst, settings=DEFAULT):
     _check_caps(m, m, degree_bound, settings)
     assignments = tuple(itertools.permutations(range(m)))
     sampler = _ProductSampler(inst.f, g_eff, inst.cycle.weights, assignments)
-    return _build_adaptive("tangential", sampler, degree_bound // sampler.power,
-                           radius, settings)
+    return _build_oracle("tangential", sampler, degree_bound // sampler.power,
+                         radius, settings)
 
 
 def build_infinitesimal_oracle(inst, settings=DEFAULT):
@@ -544,8 +506,8 @@ def build_infinitesimal_oracle(inst, settings=DEFAULT):
     radius = settings.radius_factor * (1.0 + crit_eps.max_abs)
     assignments = tuple(itertools.permutations(range(n_fiber), m))
     sampler = _ProductSampler(p, integrand, inst.cycle.weights, assignments)
-    return _build_adaptive("infinitesimal", sampler,
-                           degree_bound // sampler.power, radius, settings)
+    return _build_oracle("infinitesimal", sampler,
+                         degree_bound // sampler.power, radius, settings)
 
 
 # -- Brieskorn data ----------------------------------------------------------

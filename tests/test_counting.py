@@ -7,11 +7,12 @@ from cycle_integrals import counting
 from cycle_integrals.config import DEFAULT
 from cycle_integrals.cycles import Cycle, random_generic_cycle
 from cycle_integrals.errors import IdenticallyZeroIntegral, InputError
-from cycle_integrals.melnikov import Instance
+from cycle_integrals.melnikov import (Instance, build_infinitesimal_oracle,
+                                      build_tangential_oracle)
 from cycle_integrals.counting import (classify_alien, count_infinitesimal_zeros,
                                       count_tangential_zeros,
                                       run_sharpness_experiment)
-from cycle_integrals.poly import RatPoly
+from cycle_integrals.poly import RatPoly, critical_values
 
 PAPER = Instance(RatPoly([0, 0, 1, 1]), RatPoly([0, 1, 3]), Cycle((1, 1, -2)))
 PAPER_EPS = Instance(RatPoly([0, 0, 1, 1]), RatPoly([0, 1, 3]), Cycle((1, 1, -2)),
@@ -45,16 +46,25 @@ class TestTangentialCount:
         report = count_tangential_zeros(inst)
         assert report.count == 8 and report.sharp
 
-    def test_distinct_zeros_kept_apart_at_grown_radius(self):
-        # trial 18 of the seed-2026 (4,3) generic suite: the sampling circle
-        # grows far beyond the critical values, and zeros clustered at that
-        # radius's scale used to merge and be excluded as critical
-        inst = Instance(RatPoly([2, Fraction(9, 2), Fraction(7, 3),
-                                 Fraction(-11, 3), 1]),
-                        RatPoly([Fraction(-7, 2), -1, 7, 2]),
-                        Cycle((-6, 0, 2, 4)))
+    @pytest.mark.parametrize("f, g, weights", [
+        pytest.param([3, -9, -1, -5, 1], [-7, 1, -8, Fraction(-7, 3)],
+                     (-3, 7, -8, 4), id="trial14"),
+        pytest.param([2, Fraction(9, 2), Fraction(7, 3), Fraction(-11, 3), 1],
+                     [Fraction(-7, 2), -1, 7, 2], (-6, 0, 2, 4), id="trial18"),
+        pytest.param([Fraction(3, 2), -7, Fraction(10, 3), -1, 1],
+                     [-1, -9, 10, 2], (-7, 5, 8, -6), id="trial19"),
+    ])
+    def test_far_zeros_fit_on_critical_value_circle(self, f, g, weights):
+        # trials of the seed-2026 (4,3) generic suite whose branch products
+        # have zeros far outside the critical values: a 40-digit fit on
+        # the critical-value circle resolves them, with no radius growth
+        inst = Instance(RatPoly(f), RatPoly(g), Cycle(weights))
         report = count_tangential_zeros(inst)
         assert report.count == 18 and report.sharp
+        assert report.precision_dps == 40
+        crit = critical_values(inst.f, DEFAULT)
+        assert build_tangential_oracle(inst).radius == \
+            DEFAULT.radius_factor * (1.0 + crit.max_abs)
 
     def test_double_zero_next_to_critical_value_kept_apart(self):
         # a sign-symmetric cycle: every zero is double.  One sits 3.4e-4
@@ -99,6 +109,24 @@ class TestInfinitesimalCount:
     def test_requires_epsilon(self):
         with pytest.raises(InputError):
             count_infinitesimal_zeros(PAPER)
+
+    def test_product_shorter_than_its_bound(self):
+        # a criterion-5 (3,3) draw whose product has degree 2 under a
+        # declared bound of 4: doubles cannot tell a short fit from a lost
+        # top coefficient, so the fit escalates on the critical-value circle
+        inst = Instance(RatPoly([-2, Fraction(7, 2), Fraction(-8, 3), 1]),
+                        RatPoly([-10, Fraction(2, 3), Fraction(4, 3),
+                                 Fraction(-1, 2)]),
+                        Cycle((-3, -1, 4)), epsilon=Fraction(1, 100))
+        oracle = build_infinitesimal_oracle(inst)
+        crit = critical_values(inst.deformed_poly(), DEFAULT)
+        assert oracle.radius == DEFAULT.radius_factor * (1.0 + crit.max_abs)
+        assert (oracle.fitted_degree, oracle.declared_degree_bound) == (2, 4)
+        report = count_infinitesimal_zeros(inst)
+        assert report.count == 2
+        (low, _), (high, _) = report.distinct_regular_zeros
+        assert high == pytest.approx(complex(-0.3806, 0.3545), abs=1e-4)
+        assert abs(low - high.conjugate()) < 1e-12
 
     def test_determinism(self):
         a = count_infinitesimal_zeros(PAPER_EPS).as_dict()

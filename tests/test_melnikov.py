@@ -10,7 +10,8 @@ from cycle_integrals.config import DEFAULT
 from cycle_integrals.cycles import Cycle, random_generic_cycle
 from cycle_integrals.errors import (IdentityViolation, InputError,
                                     SingularDesignSystem)
-from cycle_integrals.melnikov import (Instance, abelian_integral,
+from cycle_integrals.melnikov import (Instance, _fitted_degree,
+                                      abelian_integral,
                                       brieskorn_dimension, brieskorn_generators,
                                       build_infinitesimal_oracle,
                                       build_tangential_oracle,
@@ -192,6 +193,13 @@ class TestTangentialOracle:
             residual = min(abs(abelian_integral(inst, fib, weights))
                            for weights in itertools.permutations(cycle.weights))
             assert residual <= 1e-7 * scale
+
+    def test_fitted_degree_floor_follows_working_precision(self):
+        # a top coefficient 1e-20 below the largest is noise in doubles
+        # but well above the floor of a 40-digit fit
+        coeffs = [1, 0.5, 1e-20]
+        assert _fitted_degree(coeffs, 1e-38, 1, dps=40) == 2
+        assert _fitted_degree(coeffs, 1e-38, 1) == 1
 
 
 class TestInfinitesimalOracle:

@@ -1,7 +1,10 @@
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import cycle_integrals
+from cycle_integrals.melnikov import OraclePoly
 
 
 def test_no_assert_statements_in_package():
@@ -13,3 +16,30 @@ def test_no_assert_statements_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert not offenders, offenders
+
+
+def test_names_the_benchmark_tracer_reads_exist():
+    # the traced benchmark run wraps names where program modules bind them
+    # and reads fields of the oracle; parse it without importing, so a
+    # deleted name fails here rather than in the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "cycle_integrals"
+               for alias in node.names}
+    wrapped = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(target, "id", None)
+                        for target in node.targets] == ["WRAPPED"])
+    names = [(entry.elts[0].id, entry.elts[1].value) for entry in wrapped.elts]
+    names += [(node.value.id, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(
+                   f"cycle_integrals.{module}"), attr)]
+    assert not missing, missing
+    fields = {field.name for field in dataclasses.fields(OraclePoly)}
+    assert {"radius", "precision_dps"} <= fields
