@@ -10,7 +10,8 @@ each factor with its negative; the count ignores multiplicities
 Alien classification continues each displacement zero in epsilon on its
 own branch factor, with a Newton corrector and the halving-bijection
 certificate of `tracking` on every fiber update, and sorts the branches
-by where they end as epsilon tends to zero.
+by where they end as epsilon tends to zero.  The instance is real, so one
+branch of each conjugate pair is continued and the other is its mirror.
 """
 
 import itertools
@@ -78,7 +79,9 @@ class AlienReport:
 
     ``limit`` is the zero where its continuation settled (None when it
     escapes); ``trajectory`` is aligned at the smallest epsilon and stops
-    short when continuing upward met a collision.
+    short when continuing upward met a collision.  Of each conjugate pair
+    of branches one is continued and the other is its exact conjugate,
+    with the same ``class`` and ``matched``.
     """
 
     epsilon_schedule: tuple
@@ -410,6 +413,14 @@ def classify_alien(inst, schedule, settings=DEFAULT):
     continued toward eps -> 0 by `_branch_end`.  A branch's trajectory
     holds its zero at the schedule epsilons, continued upward from the
     smallest by `_trajectory`.  Only the smallest epsilon needs an oracle.
+
+    f and g are in Q[x] and the weights are integers, so the fiber over
+    conj(t) at a real epsilon is the conjugate of the fiber over t, and
+    `_match` and the Newton contraction test look only at moduli: the
+    branch of a conjugate seed is the exact conjugate of the branch of
+    its partner.  The seeds are taken in `lex_sorted` order, and a
+    non-real seed whose conjugate already has a continued branch gets
+    that branch conjugated, with the same class and matched kind.
     """
     schedule = [Fraction(e) if not isinstance(e, Fraction) else e for e in schedule]
     if len(schedule) < 3:
@@ -433,12 +444,25 @@ def classify_alien(inst, schedule, settings=DEFAULT):
                                        settings)
     levels = [float(e) for e in schedule]
     branches = []
+    continued = []  # (seed, branch dict) of the branches continued here
     for seed, _ in report.distinct_regular_zeros:
+        tol = settings.tol_cluster * (1.0 + abs(seed))
+        partner = None
+        if abs(seed.imag) > tol:
+            partner = next((b for s, b in continued
+                            if abs(s - seed.conjugate()) <= tol), None)
+        if partner is not None:
+            limit = partner["limit"]
+            branches.append(dict(
+                partner, limit=None if limit is None else limit.conjugate(),
+                trajectory=tuple(z.conjugate() for z in partner["trajectory"])))
+            continue
         branch = _Branch(inst, seed, levels[-1], settings)
         limit, cls, matched = _branch_end(branch, tzeros, crit_f.critical_values,
                                           r_f, horizon, settings)
         branches.append({"trajectory": _trajectory(branch, levels),
                          "limit": limit, "class": cls, "matched": matched})
+        continued.append((seed, branches[-1]))
     n_regular = sum(b["class"] == "regular" for b in branches)
     n_alien = sum(b["class"] == "alien" for b in branches)
 

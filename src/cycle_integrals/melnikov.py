@@ -8,7 +8,9 @@ factors over injections of the weight slots into the fiber.  Monodromy
 permutes the distinct factors, so both products are single-valued
 polynomials in t, recovered by sampling on one circle of radius
 radius_factor * (1 + max |critical value|) and reading the coefficients off
-a DFT.  The product over all assignments is this one to the power K, the
+a DFT.  The instance is real, so the product has real coefficients and only
+the upper half of the circle is solved; the lower half is its conjugate.
+The product over all assignments is this one to the power K, the
 number of assignments per distinct factor, so the declared degree bound is
 the growth of the branches at infinity divided by K.  Every zero is simple,
 or double when a sign symmetry of the cycle pairs each factor F with -F.
@@ -289,6 +291,15 @@ class _ProductSampler:
 
 
 def _fit_double(sampler, degree_bound, radius, settings):
+    """Samples of the prescaled product on the circle and their DFT.
+
+    f, g and the weights are real, so the fiber over conj(t) is the
+    conjugate of the fiber over t and the product N has real coefficients:
+    N(conj t) = conj N(t).  Only the upper half circle, k = 0 .. K//2, is
+    solved and evaluated; the other samples are the exact conjugates of
+    their mirrors.  The prescale is taken at the real point t = radius, so
+    it is real, and the identically-zero test sees every factor modulus.
+    """
     k_count = settings.samples_factor * (degree_bound + 1)
     samples = np.zeros(k_count, dtype=complex)
     # a branch vanishing to noise at every sample means the product is
@@ -298,7 +309,7 @@ def _fit_double(sampler, degree_bound, radius, settings):
     all_zero = True
     log_prescale = None
     prev = None
-    for k in range(k_count):
+    for k in range(k_count // 2 + 1):
         t = radius * cmath.exp(2j * cmath.pi * k / k_count)
         roots = sampler.fiber_d(t, settings, init=prev)
         prev = roots
@@ -312,6 +323,8 @@ def _fit_double(sampler, degree_bound, radius, settings):
         samples[k] = np.prod(factors * np.exp(-log_prescale))
     if all_zero:
         return None, None, 0.0, log_prescale * sampler.n_factors
+    lower = np.arange(k_count // 2 + 1, k_count)
+    samples[lower] = np.conj(samples[k_count - lower])
     max_abs = float(np.max(np.abs(samples)))
     coeffs = np.fft.fft(samples) / k_count
     tail = float(np.max(np.abs(coeffs[degree_bound + 1:]))) if degree_bound + 1 < k_count else 0.0
@@ -320,6 +333,8 @@ def _fit_double(sampler, degree_bound, radius, settings):
 
 
 def _fit_mp(sampler, degree_bound, radius, settings, dps):
+    """`_fit_double` at ``dps`` digits: the upper half circle is solved and
+    the lower half is its exact conjugate."""
     k_count = settings.samples_factor * (degree_bound + 1)
     with mp.workdps(dps):
         samples = []
@@ -328,7 +343,7 @@ def _fit_mp(sampler, degree_bound, radius, settings, dps):
         log_prescale = None
         prev = None
         tiny = mp.mpf(10) ** (-3 * dps)
-        for k in range(k_count):
+        for k in range(k_count // 2 + 1):
             t = radius * mp.expjpi(mp.mpf(2 * k) / k_count)
             roots = sampler.fiber_mp(t, dps, init=prev)
             prev = roots
@@ -346,6 +361,8 @@ def _fit_mp(sampler, degree_bound, radius, settings, dps):
             samples.append(value)
         if all_zero:
             return None, None, 0.0, float(log_prescale * sampler.n_factors)
+        samples += [mp.conj(samples[k_count - k])
+                    for k in range(k_count // 2 + 1, k_count)]
         max_abs = max(abs(s) for s in samples)
         coeffs = dft_fit_mp(samples, dps)
         tail = max(abs(c) for c in coeffs[degree_bound + 1:]) if degree_bound + 1 < k_count else mp.mpf(0)
@@ -388,6 +405,11 @@ def _verify_zeros(sampler, zeros, settings):
 def _build_oracle(kind, sampler, degree_bound, radius, settings):
     """Sample on one circle, fit, extract and ring-verify at increasing
     precision.
+
+    Fibers are solved and factors evaluated on the upper half circle only:
+    f, g and the weights are real, so the samples on the lower half are the
+    exact conjugates of their mirrors.  The DFT, residual and fitted degree
+    use all the samples, and the ring test still verifies every zero.
 
     The circle stays fixed: the DFT recovers the coefficients of the
     product exactly wherever its zeros lie, and zeros far outside the

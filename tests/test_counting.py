@@ -79,6 +79,22 @@ class TestTangentialCount:
         assert report.count == 3
         assert [m for _, m in report.distinct_regular_zeros] == [2, 2, 2]
 
+    def test_zeros_on_the_ring_threshold(self):
+        # seed-2026 (3,3) trial 15: four real zeros crowd near t = 10 and
+        # the ring ratio of a double fit sits at root_verify, so the count
+        # and the zeros must not depend on which rung accepts
+        inst = Instance(RatPoly([9, Fraction(-2, 3), Fraction(3, 2), 1]),
+                        RatPoly([Fraction(-5, 3), Fraction(9, 2),
+                                 Fraction(-7, 3), -5]),
+                        Cycle((4, -1, -3)))
+        report = count_tangential_zeros(inst)
+        assert report.count == 4
+        zeros = [z for z, _ in report.distinct_regular_zeros]
+        expected = [9.869067599879, 10.091947551686, 10.226946513406,
+                    10.232046784018]
+        for z, t in zip(zeros, expected):
+            assert abs(z - t) <= 1e-6
+
     def test_excluded_zeros_ordered_at_root_tolerance(self):
         # the real parts differ by 1e-7: more than tol_cluster * (1 + |z|)
         # but less than the cluster radius, so the order is by real part
@@ -169,6 +185,38 @@ class TestAlienClassification:
                    if branch["class"] == "alien")
         assert (report.regular_count + report.alien_count
                 == report.infinitesimal_count)
+
+    def test_conjugate_branches_mirror_exactly(self, monkeypatch):
+        # the partition-trial-15 instance above: 2 real seeds and 8
+        # conjugate pairs, so 10 branches are continued for 18 seeds
+        inst = Instance(RatPoly([-12, Fraction(7, 3), -6, 1]),
+                        RatPoly([Fraction(-10, 3), 6, Fraction(5, 3), -1, -4]),
+                        Cycle((9, -1, -8)), epsilon=Fraction(1, 100))
+        built = []
+
+        class CountedBranch(counting._Branch):
+            def __init__(self, *args):
+                built.append(args[1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(counting, "_Branch", CountedBranch)
+        report = classify_alien(inst, SCHEDULE)
+        assert report.infinitesimal_count == 18
+        assert len(built) == 10
+
+        def conjugate(branch):
+            limit = branch["limit"]
+            return {"trajectory": tuple(z.conjugate()
+                                        for z in branch["trajectory"]),
+                    "limit": None if limit is None else limit.conjugate(),
+                    "class": branch["class"], "matched": branch["matched"]}
+
+        for branch in report.branches:
+            seed = branch["trajectory"][-1]
+            if abs(seed.imag) <= DEFAULT.tol_cluster * (1.0 + abs(seed)):
+                continue
+            assert any(other == conjugate(branch)
+                       for other in report.branches if other is not branch)
 
     def test_schedule_validation(self):
         with pytest.raises(InputError):

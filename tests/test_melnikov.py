@@ -10,7 +10,11 @@ from cycle_integrals.config import DEFAULT
 from cycle_integrals.cycles import Cycle, random_generic_cycle
 from cycle_integrals.errors import (IdentityViolation, InputError,
                                     SingularDesignSystem)
-from cycle_integrals.melnikov import (Instance, _fitted_degree,
+import mpmath as mp
+
+from cycle_integrals import melnikov
+from cycle_integrals.melnikov import (Instance, _fit_double, _fit_mp,
+                                      _fitted_degree, _ProductSampler,
                                       abelian_integral,
                                       brieskorn_dimension, brieskorn_generators,
                                       build_infinitesimal_oracle,
@@ -200,6 +204,77 @@ class TestTangentialOracle:
         coeffs = [1, 0.5, 1e-20]
         assert _fitted_degree(coeffs, 1e-38, 1, dps=40) == 2
         assert _fitted_degree(coeffs, 1e-38, 1) == 1
+
+
+# seed-2026 (4,3) tangential trial 0: its product fits at 40 digits
+TRIAL0 = Instance(RatPoly([Fraction(10, 3), -2, 10, Fraction(7, 3), 1]),
+                  RatPoly([-2, -4, -3, -2]), Cycle((7, 4, -6, -5)))
+
+
+def _sampler(inst):
+    return _ProductSampler(inst.f, inst.g, inst.cycle.weights,
+                           tuple(itertools.permutations(range(inst.m))))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(_ProductSampler, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_ProductSampler, name, counted)
+    return calls
+
+
+class TestHalfCircleSampling:
+    """The instance is real, so the fits solve only the upper half circle
+    and take the lower half as its conjugate."""
+
+    def test_double_fit_solves_upper_half(self, monkeypatch):
+        inst = Instance(PAPER_F, PAPER_G, PAPER_C)
+        oracle = build_tangential_oracle(inst)
+        calls = _count_calls(monkeypatch, "fiber_d")
+        _fit_double(_sampler(inst), oracle.declared_degree_bound,
+                    oracle.radius, DEFAULT)
+        k_count = DEFAULT.samples_factor * (oracle.declared_degree_bound + 1)
+        assert len(calls) == k_count // 2 + 1
+        assert all(t.imag >= 0 for t in calls)
+
+    def test_mp_fit_solves_upper_half(self, monkeypatch):
+        oracle = build_tangential_oracle(TRIAL0)
+        assert oracle.precision_dps == 40
+        calls = _count_calls(monkeypatch, "fiber_mp")
+        _fit_mp(_sampler(TRIAL0), oracle.declared_degree_bound, oracle.radius,
+                DEFAULT, 40)
+        k_count = DEFAULT.samples_factor * (oracle.declared_degree_bound + 1)
+        assert len(calls) == k_count // 2 + 1
+
+    @pytest.mark.parametrize("inst, dps, rel", [
+        pytest.param(Instance(PAPER_F, PAPER_G, PAPER_C), None, 1e-12,
+                     id="paper-double"),
+        pytest.param(TRIAL0, 40, 1e-30, id="trial0-40"),
+    ])
+    def test_lower_half_is_conjugate_of_upper(self, inst, dps, rel):
+        # N(conj t) = conj N(t), each side from its own fiber solve
+        radius = build_tangential_oracle(inst).radius
+        sampler = _sampler(inst)
+
+        def sample(turns):
+            if dps is None:
+                t = radius * complex(mp.expjpi(turns))
+                factors, _ = sampler.factors_d(sampler.fiber_d(t, DEFAULT))
+                return complex(np.prod(factors))
+            t = radius * mp.expjpi(turns)
+            factors, _ = sampler.factors_mp(sampler.fiber_mp(t, dps), dps)
+            return mp.fprod(factors)
+
+        with mp.workdps(dps or 15):
+            for q in (1, 2, 3):
+                low = sample(-mp.mpf(q) / 4)
+                high = sample(mp.mpf(q) / 4)
+                assert abs(low - mp.conj(high)) <= rel * abs(low)
 
 
 class TestInfinitesimalOracle:
