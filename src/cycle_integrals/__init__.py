@@ -16,7 +16,7 @@ from .melnikov import (BrieskornBasis, Instance, OraclePoly, abelian_integral,
                        build_infinitesimal_oracle, build_tangential_oracle,
                        design_g_with_zeros, displacement, reduce_deformation)
 from .poly import (ComplexPoly, CriticalData, RatPoly, critical_values,
-                   divrem, poly_gcd, roots)
+                   poly_gcd, roots)
 from .tracking import (Fiber, MonodromyRep, circulant_rank, monodromy,
                        orbit_rank, solve_fiber, track_path)
 
@@ -34,7 +34,7 @@ __all__ = [
     "build_infinitesimal_oracle", "build_tangential_oracle",
     "design_g_with_zeros", "displacement", "reduce_deformation",
     "ComplexPoly", "CriticalData", "RatPoly", "critical_values",
-    "divrem", "poly_gcd", "roots",
+    "poly_gcd", "roots",
     "Fiber", "MonodromyRep", "circulant_rank", "monodromy",
     "orbit_rank", "solve_fiber", "track_path",
 ]

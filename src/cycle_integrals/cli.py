@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 precondition/validation failure (the message
-names the failing certificate or field), 3 numerical failure (retry at
-higher precision).  Every report embeds the resolved configuration and
-seed for reproducibility.
+names the failing certificate or field), 3 numerical failure (the oracle
+fit failed at every precision of its ladder, or a continuation could not
+be certified).  Every report embeds the resolved configuration and seed
+for reproducibility.
 """
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -26,14 +26,10 @@ from .serialize import (dump_report, instance_to_dict, load_instance,
                         load_report, parse_fraction_list, parse_poly)
 from .tracking import monodromy
 
-ENV_PRECISION = "CYCLE_INTEGRALS_PRECISION_BITS"
-
 
 def _add_common(parser):
     parser.add_argument("--output", help="write the JSON report here instead of stdout")
     parser.add_argument("--seed", type=int, default=None, help="random seed override")
-    parser.add_argument("--precision-bits", type=int, default=None,
-                        help="force extended precision (mantissa bits)")
     parser.add_argument("--tol-root", type=float, default=None)
     parser.add_argument("--tol-cluster", type=float, default=None)
     parser.add_argument("--tol-fit", type=float, default=None)
@@ -120,18 +116,8 @@ def _build_parser():
     return parser
 
 
-def _resolve_settings(args, instance_bits=None):
-    bits = args.precision_bits
-    if bits is None and os.environ.get(ENV_PRECISION):
-        try:
-            bits = int(os.environ[ENV_PRECISION])
-        except ValueError as exc:
-            raise InputError(f"bad {ENV_PRECISION} value") from exc
-    if bits is None:
-        bits = instance_bits
+def _resolve_settings(args):
     overrides = {}
-    if bits is not None:
-        overrides["precision_bits"] = bits
     for field, flag in (("tol_root", "tol_root"), ("tol_cluster", "tol_cluster"),
                         ("tol_fit", "tol_fit"), ("degree_cap", "degree_cap")):
         value = getattr(args, flag, None)
@@ -172,44 +158,44 @@ def _parse_complex_list(text):
 
 
 def _cmd_tangential(args):
-    inst, seed, bits = load_instance(args.instance)
+    inst, seed = load_instance(args.instance)
     if args.seed is not None:
         seed = args.seed
-    settings = _resolve_settings(args, bits)
+    settings = _resolve_settings(args)
     report = count_tangential_zeros(inst, settings)
     payload = {"command": "tangential",
-               "instance": instance_to_dict(inst, seed, bits),
+               "instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
     return _emit(args, payload, settings, seed)
 
 
 def _cmd_infinitesimal(args):
-    inst, seed, bits = load_instance(args.instance)
+    inst, seed = load_instance(args.instance)
     if args.seed is not None:
         seed = args.seed
     if args.epsilon is not None:
         from dataclasses import replace
         inst = replace(inst, epsilon=Fraction(args.epsilon))
-    settings = _resolve_settings(args, bits)
+    settings = _resolve_settings(args)
     report = count_infinitesimal_zeros(inst, settings)
     payload = {"command": "infinitesimal",
-               "instance": instance_to_dict(inst, seed, bits),
+               "instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
     return _emit(args, payload, settings, seed)
 
 
 def _cmd_alien(args):
-    inst, seed, bits = load_instance(args.instance)
+    inst, seed = load_instance(args.instance)
     if args.seed is not None:
         seed = args.seed
     schedule = parse_fraction_list(args.schedule)
-    settings = _resolve_settings(args, bits)
+    settings = _resolve_settings(args)
     if inst.epsilon is None:
         from dataclasses import replace
         inst = replace(inst, epsilon=schedule[-1])
     report = classify_alien(inst, schedule, settings)
     payload = {"command": "alien",
-               "instance": instance_to_dict(inst, seed, bits),
+               "instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
     return _emit(args, payload, settings, seed)
 
@@ -380,9 +366,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {exc}\n"
-              "hint: retry with --precision-bits 200 or a finer schedule",
-              file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

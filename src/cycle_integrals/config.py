@@ -1,7 +1,9 @@
 """Numerical knobs shared across the library.
 
 All tolerances live on one frozen dataclass so a CLI run can override them
-in a single place and embed the resolved values in its report.
+in a single place and embed the resolved values in its report.  Precision
+is not a knob: the oracles climb one fixed ladder of precisions and
+decide for themselves which rung to accept.
 """
 
 from dataclasses import dataclass, asdict, replace
@@ -26,8 +28,6 @@ class Settings:
     identically_zero: float = 1e-12  # relative threshold declaring the oracle identically zero
     ring_delta: float = 1e-3         # zero-verification ring radius factor
     root_verify: float = 1e-4        # |N| at a zero vs max |N| on its ring
-    precision_bits: int | None = None  # force extended precision; None = adaptive
-    max_dps: int = 320               # adaptive-precision ceiling (decimal digits)
 
     # zero grouping and classification
     cluster_scale: float = 1e-6      # zero-cluster radius factor (scale aware)
@@ -57,10 +57,3 @@ class Settings:
 
 
 DEFAULT = Settings()
-
-
-def precision_dps(settings):
-    """Decimal digits for forced extended precision, or None for adaptive."""
-    if settings.precision_bits is None:
-        return None
-    return max(20, int(settings.precision_bits * 0.30103) + 2)

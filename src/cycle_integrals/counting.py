@@ -2,10 +2,10 @@
 randomized sharpness experiments.
 
 Counts are of distinct oracle zeros away from the (deduplicated) critical
-values.  The oracle multiplies distinct branch factors, so every regular
-zero is simple in it, or double when a sign symmetry of the cycle pairs
-each factor with its negative; the count ignores multiplicities
-(distinct-value semantics).
+values.  The oracle groups its zeros and decides their multiplicities:
+every regular zero is simple, or of even multiplicity when a sign symmetry
+of the cycle pairs each branch factor with its negative.  The count
+ignores multiplicities (distinct-value semantics).
 
 Alien classification continues each displacement zero in epsilon on its
 own branch factor, with a Newton corrector and the halving-bijection
@@ -30,7 +30,7 @@ from .errors import (BranchMatchingAmbiguous, IdenticallyZeroIntegral,
                      InputError, CycleIntegralsError, NumericalError)
 from .melnikov import (Instance, brieskorn_dimension, build_infinitesimal_oracle,
                        build_tangential_oracle, reduce_deformation)
-from .poly import RatPoly, cluster_points, critical_values, lex_sorted, roots_raw
+from .poly import RatPoly, critical_values, roots_raw
 from .tracking import _match, critical_exclusion
 
 
@@ -115,47 +115,6 @@ class AlienReport:
         }
 
 
-def _sign_multiplicity(group):
-    """2 when some permutation maps the weights to their negatives, else 1:
-    the multiplicity of every regular zero of the oracle."""
-    return 2 if any(sign < 0 for _, sign in group.elements) else 1
-
-
-def _cluster_zeros(zeros, base_scale, settings):
-    """Group oracle zeros into distinct values.
-
-    A double zero of a sign-symmetric product is extracted at 40 digits or
-    more, which splits it far below the cluster radius.
-    """
-    tol = lambda z: settings.cluster_scale * (base_scale + abs(z))
-    return cluster_points(zeros, tol)
-
-
-def _split_regular(clusters, crit_values, settings):
-    """Separate zero clusters sitting on a critical value from regular ones.
-
-    The exclusion radius adapts to the observed cluster scatter: a cluster
-    is a critical-value artifact when its center lies within its own
-    extraction noise of the value.  Genuine zeros merely close to a
-    critical value (alien limits approaching it) survive.  Both tuples are
-    in ``lex_sorted`` order.
-    """
-    regular = []
-    excluded = []
-    for center, members in clusters:
-        scatter = max((abs(z - center) for z in members), default=0.0)
-        near = any(
-            abs(center - cv) <= 10.0 * scatter
-            + settings.exclusion_floor * (1.0 + abs(cv))
-            for cv in crit_values)
-        if near:
-            excluded.append(center)
-        else:
-            regular.append((center, len(members)))
-    return (tuple(lex_sorted(regular, settings.tol_cluster, key=lambda zm: zm[0])),
-            tuple(lex_sorted(excluded, settings.tol_cluster)))
-
-
 def _effective_tangential_degree(inst):
     if inst.n % inst.m != 0:
         return inst.n
@@ -171,32 +130,25 @@ def count_tangential_zeros(inst, settings=DEFAULT):
     if oracle.identically_zero:
         raise IdenticallyZeroIntegral(
             "the integral vanishes identically on the cycle (tangential center)")
-    crit = critical_values(inst.f, settings)
-    base_scale = settings.radius_factor * (1.0 + crit.max_abs)
-    group = symmetry_group(inst.cycle, settings)
-    mult = _sign_multiplicity(group)
-    clusters = _cluster_zeros(oracle.zeros, base_scale, settings)
-    regular, excluded = _split_regular(clusters, crit.critical_values, settings)
     bound = bound_tangential(inst.m, inst.n)
     n_eff = _effective_tangential_degree(inst)
     cert = regular_at_infinity(inst.cycle, n_eff, settings) if n_eff else None
-    count = len(regular)
+    count = len(oracle.regular)
     _check_bound(count, bound)
-    report = ZeroReport(
+    return ZeroReport(
         kind="tangential",
-        distinct_regular_zeros=regular,
-        excluded_near_critical=excluded,
+        distinct_regular_zeros=oracle.regular,
+        excluded_near_critical=oracle.excluded,
         bound=bound,
         count=count,
         sharp=count == bound,
-        symmetry_order_used=group.order,
+        symmetry_order_used=symmetry_group(inst.cycle, settings).order,
         fitted_degree=oracle.fitted_degree,
         degree_bound=oracle.declared_degree_bound,
         fit_residual=oracle.fit_residual,
         precision_dps=oracle.precision_dps,
         certificate=cert.as_dict() if cert is not None else None,
     )
-    return _finalize(report, count_tangential_zeros, inst, settings, mult)
 
 
 def count_infinitesimal_zeros(inst, settings=DEFAULT):
@@ -217,47 +169,28 @@ def count_infinitesimal_zeros(inst, settings=DEFAULT):
     if oracle.identically_zero:
         raise IdenticallyZeroIntegral(
             "the displacement vanishes identically on the deformed cycle")
-    group = symmetry_group(inst.cycle, settings)
-    mult = _sign_multiplicity(group)
-    clusters = _cluster_zeros(oracle.zeros, base_scale, settings)
-    regular, excluded = _split_regular(clusters, crit_eps.critical_values, settings)
     bound = bound_infinitesimal(inst.m, inst.n)
-    count = len(regular)
+    count = len(oracle.regular)
     _check_bound(count, bound)
-    report = ZeroReport(
+    return ZeroReport(
         kind="infinitesimal",
-        distinct_regular_zeros=regular,
-        excluded_near_critical=excluded,
+        distinct_regular_zeros=oracle.regular,
+        excluded_near_critical=oracle.excluded,
         bound=bound,
         count=count,
         sharp=count == bound,
-        symmetry_order_used=group.order,
+        symmetry_order_used=symmetry_group(inst.cycle, settings).order,
         fitted_degree=oracle.fitted_degree,
         degree_bound=oracle.declared_degree_bound,
         fit_residual=oracle.fit_residual,
         precision_dps=oracle.precision_dps,
         certificate=None,
     )
-    return _finalize(report, count_infinitesimal_zeros, inst, settings, mult)
 
 
 def _check_bound(count, bound):
     if count > bound:
         raise NumericalError(f"{count} distinct zeros exceed the bound {bound}")
-
-
-def _finalize(report, counter, inst, settings, mult):
-    """Multiplicity audit with one forced-precision retry as a safety net:
-    under a sign symmetry a double root split into two clusters shows up
-    as an odd multiplicity."""
-    bad = any(m < 1 or m % mult for _, m in report.distinct_regular_zeros)
-    if not bad:
-        return report
-    if settings.precision_bits is None:
-        return counter(inst, settings.with_overrides(precision_bits=150))
-    raise CycleIntegralsError(
-        f"zero multiplicities {[m for _, m in report.distinct_regular_zeros]} "
-        f"not divisible by the sign multiplicity {mult}")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,15 @@ the upper half of the circle is solved; the lower half is its conjugate.
 The product over all assignments is this one to the power K, the
 number of assignments per distinct factor, so the declared degree bound is
 the growth of the branches at infinity divided by K.  Every zero is simple,
-or double when a sign symmetry of the cycle pairs each factor F with -F.
-Zeros far outside the circle make the top coefficients small; the circle
-stays, and the build climbs an mpmath precision ladder until the fit
-resolves them, re-verifying every extracted zero against the branches.  A
+or of even multiplicity when a sign symmetry of the cycle pairs each factor
+F with -F.  Zeros far outside the circle make the top coefficients small;
+the circle stays, and the build climbs one fixed precision ladder
+(doubles, then 40, 80, 160 and 320 digits) until the fit resolves them.
+A rung is accepted when every extracted zero passes the ring test against
+the branches and, for a sign-symmetric product, every regular zero cluster
+has even size; this module alone decides zero multiplicities.  A
 double-precision fit is accepted only at the full declared degree and
-never for a product with double zeros; a fit at 40 digits or more may be
+never for a sign-symmetric product; a fit at 40 digits or more may be
 shorter than the bound.
 """
 
@@ -31,12 +34,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .config import DEFAULT, precision_dps
+from .config import DEFAULT
 # perfbench/tracer.py wraps symmetry_group where this module binds it
 from .cycles import Cycle, symmetry_group  # noqa: F401
 from .errors import (CycleIntegralsError, FitRejected, IdentityViolation,
                      InputError, LengthMismatch, SingularDesignSystem)
-from .poly import ComplexPoly, RatPoly, as_fraction, critical_values, roots_raw
+from .poly import (ComplexPoly, RatPoly, as_fraction, cluster_points,
+                   critical_values, lex_sorted, roots_raw)
 from .precision import aberth_mp, dft_fit_mp, horner_mp
 from .tracking import solve_fiber
 
@@ -87,7 +91,11 @@ class OraclePoly:
     ``precision_dps`` is the rung of the precision ladder whose fit was
     accepted (None for doubles, which only a fit of the full declared
     degree passes); ``fitted_degree`` may fall short of the declared bound
-    only at 40 digits or more.
+    only at 40 digits or more.  ``zeros`` are the extracted roots;
+    ``regular`` groups them into (center, multiplicity) pairs away from the
+    critical values, every multiplicity even for a sign-symmetric product,
+    and ``excluded`` holds the centers of the clusters on a critical value,
+    both in ``lex_sorted`` order.
     """
 
     kind: str
@@ -100,6 +108,8 @@ class OraclePoly:
     identically_zero: bool
     precision_dps: int | None
     zeros: tuple
+    regular: tuple
+    excluded: tuple
 
     def as_dict(self):
         return {
@@ -178,16 +188,8 @@ def reduce_deformation(f, g):
 
 # -- product oracles ---------------------------------------------------------
 
-def _dps_ladder(settings):
-    forced = precision_dps(settings)
-    levels = [] if forced else [None]
-    d = max(forced or 0, 40)
-    while d <= settings.max_dps:
-        levels.append(d)
-        d *= 2
-    if not levels:
-        levels.append(settings.max_dps)
-    return levels
+# precisions of the fit, in decimal digits; None is double precision
+_DPS_LADDER = (None, 40, 80, 160, 320)
 
 
 class _ProductSampler:
@@ -200,7 +202,7 @@ class _ProductSampler:
     from the same number ``power`` of assignments, so the product over all
     assignments is the product sampled here to that power.  ``signed`` says
     whether the factors come in pairs F, -F (a sign symmetry of the
-    weights), which makes every zero of the product double.
+    weights), which gives every zero of the product even multiplicity.
     """
 
     def __init__(self, p, integrand, weights, assignments):
@@ -402,9 +404,35 @@ def _verify_zeros(sampler, zeros, settings):
                for z in reps)
 
 
-def _build_oracle(kind, sampler, degree_bound, radius, settings):
-    """Sample on one circle, fit, extract and ring-verify at increasing
-    precision.
+def _split_regular(clusters, crit_values, settings):
+    """Separate zero clusters sitting on a critical value from regular ones.
+
+    The exclusion radius adapts to the observed cluster scatter: a cluster
+    is a critical-value artifact when its center lies within its own
+    extraction noise of the value.  Genuine zeros merely close to a
+    critical value (alien limits approaching it) survive.  Both tuples are
+    in ``lex_sorted`` order.
+    """
+    regular = []
+    excluded = []
+    for center, members in clusters:
+        scatter = max((abs(z - center) for z in members), default=0.0)
+        near = any(
+            abs(center - cv) <= 10.0 * scatter
+            + settings.exclusion_floor * (1.0 + abs(cv))
+            for cv in crit_values)
+        if near:
+            excluded.append(center)
+        else:
+            regular.append((center, len(members)))
+    return (tuple(lex_sorted(regular, settings.tol_cluster, key=lambda zm: zm[0])),
+            tuple(lex_sorted(excluded, settings.tol_cluster)))
+
+
+def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values,
+                  settings):
+    """Sample on one circle, fit, extract, ring-verify and group the zeros
+    at increasing precision.
 
     Fibers are solved and factors evaluated on the upper half circle only:
     f, g and the weights are real, so the samples on the lower half are the
@@ -417,13 +445,20 @@ def _build_oracle(kind, sampler, degree_bound, radius, settings):
     the ladder resolves.  A double fit is accepted only at the full
     declared degree, since doubles cannot tell a top coefficient 1e-13
     below the largest from noise; a fit at 40 digits or more may be
-    shorter.  A product with double zeros never accepts its double fit:
+    shorter.  A sign-symmetric product never accepts its double fit:
     it locates a double zero to about the square root of its residual, so
     whether its ring test passes would depend on the conditioning of the
     draw, and it seldom does.
+
+    Verified zeros are clustered at cluster_scale * (base_scale + |z|) and
+    the clusters on one of ``crit_values`` are set apart.  Under a sign
+    symmetry every regular zero has even multiplicity, so a regular
+    cluster of odd size means the rung split a multiple zero, and the
+    ladder climbs as for a failed ring test.
     """
     last_residual = None
-    for dps in _dps_ladder(settings):
+    tol = lambda z: settings.cluster_scale * (base_scale + abs(z))
+    for dps in _DPS_LADDER:
         if dps is None:
             coeffs, max_abs, residual, log_scale = _fit_double(
                 sampler, degree_bound, radius, settings)
@@ -432,7 +467,7 @@ def _build_oracle(kind, sampler, degree_bound, radius, settings):
                 sampler, degree_bound, radius, settings, dps)
         if coeffs is None:
             return OraclePoly(kind, (), radius, log_scale / math.log(10.0),
-                              degree_bound, 0, 0.0, True, dps, ())
+                              degree_bound, 0, 0.0, True, dps, (), (), ())
         last_residual = residual
         if residual > settings.tol_fit:
             continue
@@ -453,11 +488,16 @@ def _build_oracle(kind, sampler, degree_bound, radius, settings):
                 tol_exp = max(32, (dps - 4) // 2)
                 u_roots = aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp)
                 zeros = tuple(complex(radius * u) for u in u_roots)
-        if _verify_zeros(sampler, zeros, settings):
-            return OraclePoly(kind, tuple(complex(c) for c in coeffs),
-                              radius, log_scale / math.log(10.0),
-                              degree_bound, fitted, residual, False, dps,
-                              zeros)
+        if not _verify_zeros(sampler, zeros, settings):
+            continue
+        regular, excluded = _split_regular(cluster_points(zeros, tol),
+                                           crit_values, settings)
+        if sampler.signed and any(mult % 2 for _, mult in regular):
+            continue
+        return OraclePoly(kind, tuple(complex(c) for c in coeffs),
+                          radius, log_scale / math.log(10.0),
+                          degree_bound, fitted, residual, False, dps,
+                          zeros, regular, excluded)
     raise FitRejected(
         f"{kind} oracle fit failed at every precision (last residual "
         f"{last_residual})")
@@ -488,7 +528,7 @@ def build_tangential_oracle(inst, settings=DEFAULT):
     radius = settings.radius_factor * (1.0 + crit.max_abs)
     if g_eff.is_zero:
         return OraclePoly("tangential", (), radius, 0.0, 0, 0, 0.0, True,
-                          None, ())
+                          None, (), (), ())
     degree_bound = g_eff.degree * math.factorial(m - 1)
     if inst.cycle.is_simple and m > 2:
         # a simple cycle forces (d-1)(m-2)! intersection points at
@@ -499,7 +539,7 @@ def build_tangential_oracle(inst, settings=DEFAULT):
     assignments = tuple(itertools.permutations(range(m)))
     sampler = _ProductSampler(inst.f, g_eff, inst.cycle.weights, assignments)
     return _build_oracle("tangential", sampler, degree_bound // sampler.power,
-                         radius, settings)
+                         radius, radius, crit.critical_values, settings)
 
 
 def build_infinitesimal_oracle(inst, settings=DEFAULT):
@@ -526,10 +566,15 @@ def build_infinitesimal_oracle(inst, settings=DEFAULT):
     _check_caps(m, n_fiber, degree_bound, settings)
     crit_eps = critical_values(p, settings)
     radius = settings.radius_factor * (1.0 + crit_eps.max_abs)
+    # zeros cluster at the scale of the critical values of f: for deg g >
+    # deg f, f + eps*g has critical values far out that would widen them
+    base_scale = settings.radius_factor * (
+        1.0 + critical_values(inst.f, settings).max_abs)
     assignments = tuple(itertools.permutations(range(n_fiber), m))
     sampler = _ProductSampler(p, integrand, inst.cycle.weights, assignments)
     return _build_oracle("infinitesimal", sampler,
-                         degree_bound // sampler.power, radius, settings)
+                         degree_bound // sampler.power, radius, base_scale,
+                         crit_eps.critical_values, settings)
 
 
 # -- Brieskorn data ----------------------------------------------------------

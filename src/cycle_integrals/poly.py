@@ -68,10 +68,6 @@ class RatPoly:
     def x():
         return RatPoly((0, 1))
 
-    @staticmethod
-    def monomial(k, c=1):
-        return RatPoly((0,) * k + (c,))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -465,8 +461,3 @@ def critical_values(f, settings=DEFAULT):
         critical_values=tuple(lex_sorted(centers, settings.tol_cluster)),
         clustering_tolerance=settings.tol_cluster,
     )
-
-
-def divrem(a, b):
-    """Module-level alias for RatPoly.divrem."""
-    return a.divrem(b)

@@ -57,10 +57,10 @@ def instance_from_dict(data):
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InputError("field 'seed' must be an integer")
-    bits = data.get("precision_bits")
-    if bits is not None and (not isinstance(bits, int) or isinstance(bits, bool)):
-        raise InputError("field 'precision_bits' must be an integer or null")
-    return Instance(f, g, cycle, epsilon=epsilon), seed, bits
+    if data.get("precision_bits") is not None:
+        raise InputError("field 'precision_bits' must be null: the oracles "
+                         "choose their own precision")
+    return Instance(f, g, cycle, epsilon=epsilon), seed
 
 
 def load_instance(path):
@@ -74,14 +74,13 @@ def load_instance(path):
     return instance_from_dict(data)
 
 
-def instance_to_dict(inst, seed=0, precision_bits=None):
+def instance_to_dict(inst, seed=0):
     return {
         "f": [str(c) for c in inst.f.coeffs],
         "g": [str(c) for c in inst.g.coeffs],
         "cycle": list(inst.cycle.weights),
         "epsilon": None if inst.epsilon is None else str(inst.epsilon),
         "seed": seed,
-        "precision_bits": precision_bits,
     }
 
 

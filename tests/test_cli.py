@@ -47,6 +47,9 @@ class TestInstanceCommands:
         assert data["result"]["count"] == 0
         assert data["seed"] == 7
         assert "config" in data
+        # the instance file carries "precision_bits": null, which runs and
+        # is not echoed: the oracles choose their own precision
+        assert "precision_bits" not in data["instance"]
 
     def test_infinitesimal_with_epsilon_flag(self, capsys, paper_instance):
         code, out = run(capsys, "infinitesimal", "--instance", paper_instance,
@@ -61,6 +64,21 @@ class TestInstanceCommands:
         path.write_text(json.dumps(bad))
         code, _ = run(capsys, "tangential", "--instance", str(path))
         assert code == 2
+
+    def test_precision_bits_must_be_null(self, tmp_path, capsys):
+        # an instance may still carry the field, but only as null
+        bad = dict(PAPER, precision_bits=200)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["tangential", "--instance", str(path)]) == 2
+        assert "precision_bits" in capsys.readouterr().err
+
+    def test_precision_bits_flag_rejected(self, capsys, paper_instance):
+        with pytest.raises(SystemExit) as exc:
+            main(["tangential", "--instance", paper_instance,
+                  "--precision-bits", "200"])
+        assert exc.value.code == 2
+        assert "--precision-bits" in capsys.readouterr().err
 
     def test_invalid_cycle_rejected(self, tmp_path, capsys):
         bad = dict(PAPER)

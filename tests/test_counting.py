@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycle_integrals import counting
+from cycle_integrals import counting, melnikov
 from cycle_integrals.config import DEFAULT
 from cycle_integrals.cycles import Cycle, random_generic_cycle
 from cycle_integrals.errors import IdenticallyZeroIntegral, InputError
@@ -12,7 +12,7 @@ from cycle_integrals.melnikov import (Instance, build_infinitesimal_oracle,
 from cycle_integrals.counting import (classify_alien, count_infinitesimal_zeros,
                                       count_tangential_zeros,
                                       run_sharpness_experiment)
-from cycle_integrals.poly import RatPoly, critical_values
+from cycle_integrals.poly import RatPoly, cluster_points, critical_values
 
 PAPER = Instance(RatPoly([0, 0, 1, 1]), RatPoly([0, 1, 3]), Cycle((1, 1, -2)))
 PAPER_EPS = Instance(RatPoly([0, 0, 1, 1]), RatPoly([0, 1, 3]), Cycle((1, 1, -2)),
@@ -100,8 +100,9 @@ class TestTangentialCount:
         # but less than the cluster radius, so the order is by real part
         left, right = complex(0.0, 1.0), complex(1e-7, -1.0)
         for zeros in ([left, right], [right, left]):
-            clusters = counting._cluster_zeros(zeros, 1.0, DEFAULT)
-            regular, excluded = counting._split_regular(clusters, zeros, DEFAULT)
+            clusters = cluster_points(
+                zeros, lambda z: DEFAULT.cluster_scale * (1.0 + abs(z)))
+            regular, excluded = melnikov._split_regular(clusters, zeros, DEFAULT)
             assert regular == () and excluded == (left, right)
 
     def test_identically_zero_raises(self):
@@ -148,6 +149,39 @@ class TestInfinitesimalCount:
         a = count_infinitesimal_zeros(PAPER_EPS).as_dict()
         b = count_infinitesimal_zeros(PAPER_EPS).as_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+SIX_FOLD_F = [0, 3, 1, 1]
+SIX_FOLD_G = [Fraction(3, 2), 0, Fraction(-5, 3), -1, Fraction(-1, 3)]
+
+
+@pytest.mark.parametrize("f, g, weights, epsilon, zeros", [
+    pytest.param([-9, Fraction(2, 3), 0, 1],
+                 [-11, Fraction(2, 3), Fraction(11, 3), -1, Fraction(11, 2)],
+                 (-1, 1, 0), None, [(-9.242424242424, 6)],
+                 id="tangential-six-fold-off-integer"),
+    pytest.param(SIX_FOLD_F, SIX_FOLD_G, (1, 0, -1), None, [(6.0, 6)],
+                 id="tangential-six-fold-at-six"),
+    pytest.param(SIX_FOLD_F, SIX_FOLD_G, (1, 0, -1), Fraction(1, 100),
+                 [(5.975, 6)], id="infinitesimal-six-fold"),
+    pytest.param([-1, 10, Fraction(11, 2), 1],
+                 [Fraction(-7, 2), 0, Fraction(-4, 3), Fraction(1, 3), -2],
+                 (0, 1, -1), Fraction(1, 100),
+                 [(-61.638821522205, 2), (-10.084553297868, 2),
+                  (170.171708153406, 2)], id="infinitesimal-three-double"),
+])
+def test_sign_symmetric_zeros_keep_even_multiplicity(f, g, weights, epsilon,
+                                                     zeros):
+    # every cycle here has a sign symmetry, so every zero of the branch
+    # product has even multiplicity; a rung of the precision ladder that
+    # splits a multiple zero into an odd cluster must not be accepted
+    inst = Instance(RatPoly(f), RatPoly(g), Cycle(weights), epsilon=epsilon)
+    count = count_tangential_zeros if epsilon is None else count_infinitesimal_zeros
+    report = count(inst)
+    assert report.count == len(zeros)
+    assert [m for _, m in report.distinct_regular_zeros] == [m for _, m in zeros]
+    for (z, _), (t, _) in zip(report.distinct_regular_zeros, zeros):
+        assert abs(z - t) <= 1e-6
 
 
 class TestAlienClassification:

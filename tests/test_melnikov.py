@@ -8,8 +8,8 @@ import pytest
 
 from cycle_integrals.config import DEFAULT
 from cycle_integrals.cycles import Cycle, random_generic_cycle
-from cycle_integrals.errors import (IdentityViolation, InputError,
-                                    SingularDesignSystem)
+from cycle_integrals.errors import (FitRejected, IdentityViolation,
+                                    InputError, SingularDesignSystem)
 import mpmath as mp
 
 from cycle_integrals import melnikov
@@ -204,6 +204,27 @@ class TestTangentialOracle:
         coeffs = [1, 0.5, 1e-20]
         assert _fitted_degree(coeffs, 1e-38, 1, dps=40) == 2
         assert _fitted_degree(coeffs, 1e-38, 1) == 1
+
+    def test_rejected_zeros_climb_the_whole_ladder(self, monkeypatch):
+        # a rung whose zeros fail verification is never accepted; the
+        # build fits once per rung, then gives up
+        fits = []
+
+        def fit_double(*args):
+            fits.append(None)
+            return original_double(*args)
+
+        def fit_mp(*args):
+            fits.append(args[-1])
+            return original_mp(*args)
+
+        original_double, original_mp = melnikov._fit_double, melnikov._fit_mp
+        monkeypatch.setattr(melnikov, "_fit_double", fit_double)
+        monkeypatch.setattr(melnikov, "_fit_mp", fit_mp)
+        monkeypatch.setattr(melnikov, "_verify_zeros", lambda *args: False)
+        with pytest.raises(FitRejected):
+            build_tangential_oracle(Instance(PAPER_F, PAPER_G, PAPER_C))
+        assert fits == [None, 40, 80, 160, 320]
 
 
 # seed-2026 (4,3) tangential trial 0: its product fits at 40 digits

@@ -4,6 +4,7 @@ import importlib
 from pathlib import Path
 
 import cycle_integrals
+from cycle_integrals.config import Settings
 from cycle_integrals.melnikov import OraclePoly
 
 
@@ -16,6 +17,23 @@ def test_no_assert_statements_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert not offenders, offenders
+
+
+def test_every_setting_is_read():
+    # a knob that no code reads is dead configuration: every Settings field
+    # must be read as settings.<field> outside the module defining it
+    read = set()
+    for path in sorted(Path(cycle_integrals.__file__).parent.rglob("*.py")):
+        if path.name == "config.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "settings"}
+    unread = [field.name for field in dataclasses.fields(Settings)
+              if field.name not in read]
+    assert not unread, unread
 
 
 def test_names_the_benchmark_tracer_reads_exist():
