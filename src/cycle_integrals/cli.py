@@ -3,13 +3,15 @@
 Exit codes: 0 success, 2 precondition/validation failure (the message
 names the failing certificate or field), 3 numerical failure (the oracle
 fit failed at every precision of its ladder, or a continuation could not
-be certified).  Every report embeds the resolved configuration and seed
-for reproducibility.
+be certified).  Every report embeds the numerical constants of
+``config.DEFAULT``, which no flag overrides, and the seed for
+reproducibility.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -30,10 +32,6 @@ from .tracking import monodromy
 def _add_common(parser):
     parser.add_argument("--output", help="write the JSON report here instead of stdout")
     parser.add_argument("--seed", type=int, default=None, help="random seed override")
-    parser.add_argument("--tol-root", type=float, default=None)
-    parser.add_argument("--tol-cluster", type=float, default=None)
-    parser.add_argument("--tol-fit", type=float, default=None)
-    parser.add_argument("--degree-cap", type=int, default=None)
 
 
 def _build_parser():
@@ -116,18 +114,8 @@ def _build_parser():
     return parser
 
 
-def _resolve_settings(args):
-    overrides = {}
-    for field, flag in (("tol_root", "tol_root"), ("tol_cluster", "tol_cluster"),
-                        ("tol_fit", "tol_fit"), ("degree_cap", "degree_cap")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return DEFAULT.with_overrides(**overrides)
-
-
-def _emit(args, payload, settings, seed):
-    payload["config"] = settings.as_dict()
+def _emit(args, payload, seed):
+    payload["config"] = DEFAULT.as_dict()
     payload["seed"] = seed
     text = dump_report(payload, args.output)
     if args.output is None:
@@ -161,12 +149,11 @@ def _cmd_tangential(args):
     inst, seed = load_instance(args.instance)
     if args.seed is not None:
         seed = args.seed
-    settings = _resolve_settings(args)
-    report = count_tangential_zeros(inst, settings)
+    report = count_tangential_zeros(inst)
     payload = {"command": "tangential",
                "instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
-    return _emit(args, payload, settings, seed)
+    return _emit(args, payload, seed)
 
 
 def _cmd_infinitesimal(args):
@@ -174,14 +161,12 @@ def _cmd_infinitesimal(args):
     if args.seed is not None:
         seed = args.seed
     if args.epsilon is not None:
-        from dataclasses import replace
         inst = replace(inst, epsilon=Fraction(args.epsilon))
-    settings = _resolve_settings(args)
-    report = count_infinitesimal_zeros(inst, settings)
+    report = count_infinitesimal_zeros(inst)
     payload = {"command": "infinitesimal",
                "instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
-    return _emit(args, payload, settings, seed)
+    return _emit(args, payload, seed)
 
 
 def _cmd_alien(args):
@@ -189,43 +174,38 @@ def _cmd_alien(args):
     if args.seed is not None:
         seed = args.seed
     schedule = parse_fraction_list(args.schedule)
-    settings = _resolve_settings(args)
     if inst.epsilon is None:
-        from dataclasses import replace
         inst = replace(inst, epsilon=schedule[-1])
-    report = classify_alien(inst, schedule, settings)
+    report = classify_alien(inst, schedule)
     payload = {"command": "alien",
                "instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
-    return _emit(args, payload, settings, seed)
+    return _emit(args, payload, seed)
 
 
 def _cmd_bounds(args):
-    settings = _resolve_settings(args)
     payload = {"command": "bounds", "m": args.m, "n": args.n,
                "result": {"tangential": bound_tangential(args.m, args.n),
                           "infinitesimal": bound_infinitesimal(args.m, args.n),
                           "simple": bound_simple(args.m, args.n)}}
-    return _emit(args, payload, settings, args.seed or 0)
+    return _emit(args, payload, args.seed or 0)
 
 
 def _cmd_certify(args):
-    settings = _resolve_settings(args)
     weights = _json_array(args.cycle, "--cycle")
     cycle = Cycle(weights)
-    cert = regular_at_infinity(cycle, args.n, settings)
-    group = symmetry_group(cycle, settings)
+    cert = regular_at_infinity(cycle, args.n)
+    group = symmetry_group(cycle)
     payload = {"command": "certify-cycle",
                "cycle": list(cycle.weights), "n": args.n,
                "result": {"certificate": cert.as_dict(),
                           "symmetry_order": group.order,
                           "is_simple": cycle.is_simple,
-                          "is_asymmetric": is_asymmetric(cycle, settings)}}
-    return _emit(args, payload, settings, args.seed or 0)
+                          "is_asymmetric": is_asymmetric(cycle)}}
+    return _emit(args, payload, args.seed or 0)
 
 
 def _cmd_reduce(args):
-    settings = _resolve_settings(args)
     f = parse_poly(_json_array(args.f, "--f"), "f")
     g = parse_poly(_json_array(args.g, "--g"), "g")
     g_tilde, subtracted = reduce_deformation(f, g)
@@ -234,25 +214,23 @@ def _cmd_reduce(args):
                           "degree": g_tilde.degree,
                           "subtracted": [{"coefficient": str(a), "power": k}
                                          for a, k in subtracted]}}
-    return _emit(args, payload, settings, args.seed or 0)
+    return _emit(args, payload, args.seed or 0)
 
 
 def _cmd_monodromy(args):
-    settings = _resolve_settings(args)
     f = parse_poly(_json_array(args.f, "--f"), "f")
     basepoint = None
     if args.basepoint:
         re, im = (args.basepoint.split(",") + ["0"])[:2]
         basepoint = complex(float(re), float(im))
-    rep = monodromy(f, settings, basepoint=basepoint,
+    rep = monodromy(f, basepoint=basepoint,
                     ordering="real" if args.real_order else "lex")
     payload = {"command": "monodromy", "f": [str(c) for c in f.coeffs],
                "result": rep.as_dict()}
-    return _emit(args, payload, settings, args.seed or 0)
+    return _emit(args, payload, args.seed or 0)
 
 
 def _cmd_brieskorn(args):
-    settings = _resolve_settings(args)
     result = {}
     if args.f:
         f = parse_poly(_json_array(args.f, "--f"), "f")
@@ -270,31 +248,28 @@ def _cmd_brieskorn(args):
         m = args.m
         result["dimension"] = brieskorn_dimension(m, args.n)
     payload = {"command": "brieskorn", "m": m, "n": args.n, "result": result}
-    return _emit(args, payload, settings, args.seed or 0)
+    return _emit(args, payload, args.seed or 0)
 
 
 def _cmd_design(args):
-    settings = _resolve_settings(args)
     f = parse_poly(_json_array(args.f, "--f"), "f")
     cycle = Cycle(_json_array(args.cycle, "--cycle"))
     targets = _parse_complex_list(args.targets)
-    g = design_g_with_zeros(f, cycle, targets, args.n, settings=settings)
+    g = design_g_with_zeros(f, cycle, targets, args.n)
     payload = {"command": "design-g",
                "result": {"g": [[repr(c.real), repr(c.imag)] for c in g.coeffs],
                           "targets": [[repr(t.real), repr(t.imag)] for t in targets],
                           "dimension": brieskorn_dimension(f.degree, args.n)}}
-    return _emit(args, payload, settings, args.seed or 0)
+    return _emit(args, payload, args.seed or 0)
 
 
 def _cmd_experiment(args):
-    settings = _resolve_settings(args)
     seed = args.seed if args.seed is not None else 0
     summary = run_sharpness_experiment(
         args.m, args.n, args.kind, args.trials, seed,
-        cycle_mode=args.cycle_mode, epsilon=Fraction(args.epsilon),
-        settings=settings)
+        cycle_mode=args.cycle_mode, epsilon=Fraction(args.epsilon))
     payload = {"command": "experiment", "result": summary}
-    return _emit(args, payload, settings, seed)
+    return _emit(args, payload, seed)
 
 
 def _plot_rows(report):
@@ -323,14 +298,13 @@ def _plot_rows(report):
 
 
 def _cmd_plot_data(args):
-    settings = _resolve_settings(args)
     report = load_report(args.report)
     header, rows = _plot_rows(report)
     if args.format == "json":
         payload = {"command": "plot-data",
                    "result": {"header": header,
                               "rows": [list(r) for r in rows]}}
-        return _emit(args, payload, settings, args.seed or 0)
+        return _emit(args, payload, args.seed or 0)
     lines = [",".join(header)]
     lines += [",".join(str(v) for v in row) for row in rows]
     text = "\n".join(lines)

@@ -1,12 +1,14 @@
-"""Numerical knobs shared across the library.
+"""Numerical constants shared across the library.
 
-All tolerances live on one frozen dataclass so a CLI run can override them
-in a single place and embed the resolved values in its report.  Precision
-is not a knob: the oracles climb one fixed ladder of precisions and
-decide for themselves which rung to accept.
+The answers are integers fixed by the degrees of f and g; these tolerances
+only steer the numerics that find them.  They are constants: each module
+reads ``DEFAULT.<name>``, nothing overrides them, and every CLI report
+embeds them in its ``config`` block.  Precision is not among them: the
+oracles climb one fixed ladder of precisions and decide for themselves
+which rung to accept.
 """
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class Settings:
     divergence_factor: float = 10.0  # |t| beyond factor*R flags an escaping branch
 
     # cycle certificates
-    infinity_zero_tol: float = 1e-9  # |cyclotomic sum| below tol*sum|n_j| counts as zero
     weight_bound: int = 9
     cycle_retry_cap: int = 10_000
     fiber_cap: int = 8               # hard cap for factorial enumeration
@@ -48,9 +49,6 @@ class Settings:
 
     # randomized experiments
     morse_separation: float = 1e-4   # critical values must be separated by scale*spread
-
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
 
     def as_dict(self):
         return asdict(self)

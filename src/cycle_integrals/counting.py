@@ -122,17 +122,17 @@ def _effective_tangential_degree(inst):
     return g_tilde.degree if not g_tilde.is_zero else 0
 
 
-def count_tangential_zeros(inst, settings=DEFAULT):
+def count_tangential_zeros(inst):
     """Distinct regular zeros of the first-order integral on all branches."""
     if inst.epsilon not in (None, 0):
         raise InputError("tangential counting runs without epsilon")
-    oracle = build_tangential_oracle(inst, settings)
+    oracle = build_tangential_oracle(inst)
     if oracle.identically_zero:
         raise IdenticallyZeroIntegral(
             "the integral vanishes identically on the cycle (tangential center)")
     bound = bound_tangential(inst.m, inst.n)
     n_eff = _effective_tangential_degree(inst)
-    cert = regular_at_infinity(inst.cycle, n_eff, settings) if n_eff else None
+    cert = regular_at_infinity(inst.cycle, n_eff) if n_eff else None
     count = len(oracle.regular)
     _check_bound(count, bound)
     return ZeroReport(
@@ -142,7 +142,7 @@ def count_tangential_zeros(inst, settings=DEFAULT):
         bound=bound,
         count=count,
         sharp=count == bound,
-        symmetry_order_used=symmetry_group(inst.cycle, settings).order,
+        symmetry_order_used=symmetry_group(inst.cycle).order,
         fitted_degree=oracle.fitted_degree,
         degree_bound=oracle.declared_degree_bound,
         fit_residual=oracle.fit_residual,
@@ -151,21 +151,21 @@ def count_tangential_zeros(inst, settings=DEFAULT):
     )
 
 
-def count_infinitesimal_zeros(inst, settings=DEFAULT):
+def count_infinitesimal_zeros(inst):
     """Distinct regular zeros of the displacement at the instance epsilon."""
     if inst.epsilon in (None, 0):
         raise InputError("infinitesimal counting requires a nonzero epsilon")
-    crit_f = critical_values(inst.f, settings)
-    base_scale = settings.radius_factor * (1.0 + crit_f.max_abs)
+    crit_f = critical_values(inst.f)
+    base_scale = DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
     p = inst.deformed_poly()
-    crit_eps = critical_values(p, settings)
+    crit_eps = critical_values(p)
     # perturbative-regime check: every critical value of f must have a
     # nearby critical value of the deformed polynomial
     for cv in crit_f.critical_values:
         if min(abs(cv - ce) for ce in crit_eps.critical_values) > 2.0 * base_scale:
             raise InputError(
                 f"epsilon={inst.epsilon} is outside the perturbative regime")
-    oracle = build_infinitesimal_oracle(inst, settings)
+    oracle = build_infinitesimal_oracle(inst)
     if oracle.identically_zero:
         raise IdenticallyZeroIntegral(
             "the displacement vanishes identically on the deformed cycle")
@@ -179,7 +179,7 @@ def count_infinitesimal_zeros(inst, settings=DEFAULT):
         bound=bound,
         count=count,
         sharp=count == bound,
-        symmetry_order_used=symmetry_group(inst.cycle, settings).order,
+        symmetry_order_used=symmetry_group(inst.cycle).order,
         fitted_degree=oracle.fitted_degree,
         degree_bound=oracle.declared_degree_bound,
         fit_residual=oracle.fit_residual,
@@ -215,13 +215,12 @@ class _Branch:
     factor vanishes there.
     """
 
-    def __init__(self, inst, t, eps, settings):
+    def __init__(self, inst, t, eps):
         self.f = np.array(inst.f.to_complex().coeffs)
         self.g = np.array(inst.g.to_complex().coeffs)
         self.df = npoly.polyder(self.f)
         self.dg = npoly.polyder(self.g)
         self.weights = np.array(inst.cycle.weights, dtype=float)
-        self.settings = settings
         roots = self._fiber(t, eps)
         self.slots = list(min(
             itertools.permutations(range(len(roots)), len(self.weights)),
@@ -234,7 +233,7 @@ class _Branch:
     def _fiber(self, t, eps, init=None):
         coeffs = npoly.polyadd(self.f, eps * self.g)
         coeffs[0] -= t
-        return roots_raw(coeffs, self.settings, init=init)
+        return roots_raw(coeffs, init=init)
 
     def advance(self, point, eps):
         """Euler predictor and Newton corrector on G at a new epsilon.
@@ -265,7 +264,7 @@ class _Branch:
             # dw/deps = -g(w) dw/dt at fixed t, so dt/deps = -G_eps / G_t
             slope = (self.weights @ (dgz * gz * dzdt)) / g_t
             step = -(self.weights @ gz) / g_t
-            if abs(step) <= self.settings.tol_cluster * (1.0 + abs(t)):
+            if abs(step) <= DEFAULT.tol_cluster * (1.0 + abs(t)):
                 return _Point(eps, complex(t), roots, complex(slope))
             if abs(step) > 0.5 * last:
                 return None
@@ -284,7 +283,7 @@ class _Branch:
             new = self.advance(point, eps)
             if new is None:
                 h *= 0.5
-                if h < self.settings.step_floor:
+                if h < DEFAULT.step_floor:
                     return
                 continue
             point = new
@@ -292,7 +291,7 @@ class _Branch:
             h = min(1.7 * h, math.log(2.0))
 
 
-def _branch_end(branch, tzeros, crit_values, r_f, horizon, settings):
+def _branch_end(branch, tzeros, crit_values, r_f, horizon):
     """Continue a branch toward eps -> 0; return (limit, class, matched).
 
     A branch ends at a tangential zero (regular), at a critical value of f
@@ -302,18 +301,18 @@ def _branch_end(branch, tzeros, crit_values, r_f, horizon, settings):
     tolerance.  Tangential zeros are tested first, since some regular
     limits lie inside the exclusion disk of a critical value.
     """
-    floor = branch.start.eps * settings.step_floor
+    floor = branch.start.eps * DEFAULT.step_floor
     for point in itertools.chain([branch.start], branch.walk(branch.start, floor)):
         t = point.t
         if abs(t) > horizon and (t.conjugate() * point.slope).real < 0:
             return None, "alien", "infinity"
-        tol = settings.match_scale * (r_f + abs(t))
+        tol = DEFAULT.match_scale * (r_f + abs(t))
         if abs(point.eps * point.slope) > 0.5 * tol:
             continue
         if any(abs(t - z) <= tol for z in tzeros):
             return t, "regular", "tangential_zero"
         cv = min(crit_values, key=lambda c: abs(t - c))
-        if abs(t - cv) <= max(tol, critical_exclusion(cv, settings)):
+        if abs(t - cv) <= max(tol, critical_exclusion(cv)):
             return t, "alien", "critical_value"
     raise BranchMatchingAmbiguous(
         f"the zero continued from {branch.start.t} stalls near {point.t} "
@@ -337,7 +336,7 @@ def _trajectory(branch, levels):
     return tuple(trajectory)
 
 
-def classify_alien(inst, schedule, settings=DEFAULT):
+def classify_alien(inst, schedule):
     """Continue each displacement zero in epsilon and classify its branch
     as regular (it ends at a tangential zero) or alien (it ends at a
     critical value of f or escapes to infinity).
@@ -363,23 +362,22 @@ def classify_alien(inst, schedule, settings=DEFAULT):
         raise InputError("schedule must be strictly decreasing and positive")
 
     base = replace(inst, epsilon=None)
-    tangential = count_tangential_zeros(base, settings)
+    tangential = count_tangential_zeros(base)
     tzeros = [z for z, _ in tangential.distinct_regular_zeros]
 
-    crit_f = critical_values(inst.f, settings)
-    r_f = settings.radius_factor * (1.0 + crit_f.max_abs)
+    crit_f = critical_values(inst.f)
+    r_f = DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
     # escaping branches are those leaving the scale of everything finite:
     # the critical values of f and the tangential zeros themselves
     tz_scale = max((abs(z) for z in tzeros), default=0.0)
-    horizon = settings.divergence_factor * max(r_f, 1.5 * tz_scale)
+    horizon = DEFAULT.divergence_factor * max(r_f, 1.5 * tz_scale)
 
-    report = count_infinitesimal_zeros(replace(inst, epsilon=schedule[-1]),
-                                       settings)
+    report = count_infinitesimal_zeros(replace(inst, epsilon=schedule[-1]))
     levels = [float(e) for e in schedule]
     branches = []
     continued = []  # (seed, branch dict) of the branches continued here
     for seed, _ in report.distinct_regular_zeros:
-        tol = settings.tol_cluster * (1.0 + abs(seed))
+        tol = DEFAULT.tol_cluster * (1.0 + abs(seed))
         partner = None
         if abs(seed.imag) > tol:
             partner = next((b for s, b in continued
@@ -390,9 +388,9 @@ def classify_alien(inst, schedule, settings=DEFAULT):
                 partner, limit=None if limit is None else limit.conjugate(),
                 trajectory=tuple(z.conjugate() for z in partner["trajectory"])))
             continue
-        branch = _Branch(inst, seed, levels[-1], settings)
+        branch = _Branch(inst, seed, levels[-1])
         limit, cls, matched = _branch_end(branch, tzeros, crit_f.critical_values,
-                                          r_f, horizon, settings)
+                                          r_f, horizon)
         branches.append({"trajectory": _trajectory(branch, levels),
                          "limit": limit, "class": cls, "matched": matched})
         continued.append((seed, branches[-1]))
@@ -420,14 +418,15 @@ def _random_rational(rng, bound=12):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
 
 
-def _random_morse_poly(rng, m, settings, tries=60):
+# `_unused` is never read; perfbench/regen_literals.py and the tests pass DEFAULT
+def _random_morse_poly(rng, m, _unused=None, tries=60):
     for _ in range(tries):
         coeffs = [_random_rational(rng) for _ in range(m)] + [Fraction(1)]
         f = RatPoly(coeffs)
         if f.degree != m:
             continue
         try:
-            crit = critical_values(f, settings)
+            crit = critical_values(f)
         except CycleIntegralsError:
             continue
         vals = crit.critical_values
@@ -436,7 +435,7 @@ def _random_morse_poly(rng, m, settings, tries=60):
         spread = max(crit.spread, 1.0)
         sep = min((abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:]),
                   default=math.inf)
-        if sep > settings.morse_separation * spread:
+        if sep > DEFAULT.morse_separation * spread:
             return f
     raise InputError(f"could not draw a Morse polynomial of degree {m}")
 
@@ -462,15 +461,16 @@ def _certificate_degree(kind, m, n, f, g):
     return m + 1 if n == m else 1
 
 
-def _draw_cycle(kind, mode, m, n, f, g, trial_seed, settings):
+# `_unused` as in `_random_morse_poly`
+def _draw_cycle(kind, mode, m, n, f, g, trial_seed, _unused=None):
     if mode == "simple" or m == 2:
         return random_simple_cycle(m, trial_seed)
     n_cert = _certificate_degree(kind, m, n, f, g)
-    return random_generic_cycle(m, max(n_cert, 1), trial_seed, settings)
+    return random_generic_cycle(m, max(n_cert, 1), trial_seed)
 
 
 def run_sharpness_experiment(m, n, kind, trials, seed, cycle_mode="generic",
-                             epsilon=Fraction(1, 100), settings=DEFAULT):
+                             epsilon=Fraction(1, 100)):
     """Randomized Morse suites recording the attained count distribution.
 
     Failed trials (degenerate draws, numerical rejections) are recorded and
@@ -481,24 +481,22 @@ def run_sharpness_experiment(m, n, kind, trials, seed, cycle_mode="generic",
     if kind not in ("tangential", "infinitesimal"):
         raise InputError(f"unknown experiment kind {kind!r}")
     effective_mode = "simple" if (cycle_mode == "simple" or m == 2) else "generic"
-    if effective_mode == "simple":
-        bound = None  # simple-cycle suites compare against bound_simple
     counts = []
     failures = []
     results = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         try:
-            f = _random_morse_poly(rng, m, settings)
+            f = _random_morse_poly(rng, m)
             g = _random_poly(rng, n)
             cycle = _draw_cycle(kind, effective_mode, m, n, f, g,
-                                f"{seed}:{trial}:cycle", settings)
+                                f"{seed}:{trial}:cycle")
             if kind == "tangential":
                 inst = Instance(f, g, cycle)
-                report = count_tangential_zeros(inst, settings)
+                report = count_tangential_zeros(inst)
             else:
                 inst = Instance(f, g, cycle, epsilon=Fraction(epsilon))
-                report = count_infinitesimal_zeros(inst, settings)
+                report = count_infinitesimal_zeros(inst)
             counts.append(report.count)
             results.append({
                 "trial": trial,

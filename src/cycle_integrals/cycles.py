@@ -9,7 +9,6 @@ certificate decides whether the Bezout count is attained without losses
 on the hyperplane at infinity.
 """
 
-import cmath
 import itertools
 import math
 import random
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 from .config import DEFAULT
 from .errors import (DomainError, FiberTooLarge, GenericCycleNotFound,
                      InvalidCycle, NonIntegerBound)
+from .poly import RatPoly
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,16 @@ class GenericityCertificate:
         }
 
 
-def _check_fiber_cap(m, settings):
-    if m > settings.fiber_cap:
-        raise FiberTooLarge(f"fiber size {m} exceeds cap {settings.fiber_cap}")
+def _check_fiber_cap(m):
+    if m > DEFAULT.fiber_cap:
+        raise FiberTooLarge(f"fiber size {m} exceeds cap {DEFAULT.fiber_cap}")
 
 
-def symmetry_group(cycle, settings=DEFAULT):
+def symmetry_group(cycle):
     """Exhaustive enumeration of the signed symmetry group of the weights."""
     w = cycle.weights
     m = len(w)
-    _check_fiber_cap(m, settings)
+    _check_fiber_cap(m)
     neg = tuple(-v for v in w)
     elements = []
     for perm in itertools.permutations(range(m)):
@@ -97,42 +97,49 @@ def symmetry_group(cycle, settings=DEFAULT):
     return SymmetryGroup(elements=tuple(elements), order=len(elements))
 
 
-def is_asymmetric(cycle, settings=DEFAULT):
-    return symmetry_group(cycle, settings).order == 1
+def is_asymmetric(cycle):
+    return symmetry_group(cycle).order == 1
 
 
-def regular_at_infinity(cycle, n, settings=DEFAULT):
+def _cyclotomic(m):
+    """Phi_m, the minimal polynomial of exp(2 pi i/m) over Q: x^m - 1
+    divided exactly by Phi_d for every proper divisor d of m."""
+    phi = RatPoly([-1] + [0] * (m - 1) + [1])
+    for d in range(1, m):
+        if m % d == 0:
+            phi = phi // _cyclotomic(d)
+    return phi
+
+
+def regular_at_infinity(cycle, n):
     """Certificate that no intersection points fall on the hyperplane at
     infinity for a deformation of degree n.
 
-    Evaluates sum_j n_j xi^(n*alpha_j), xi = exp(2 pi i/m), over the
-    (m-1)! permutations alpha fixing the last index.  When m divides n
-    every sum collapses to sum n_j = 0 and the test cannot pass.
+    Tests whether sum_j n_j xi^(n*alpha_j), xi = exp(2 pi i/m), vanishes
+    for each of the (m-1)! permutations alpha fixing the last index.  The
+    test is exact: the sum vanishes iff the integer polynomial
+    sum_j n_j x^((n*alpha_j) mod m) is divisible by Phi_m.  When m divides
+    n every sum collapses to sum n_j = 0 and the test cannot pass.
     """
     if n < 1:
         raise DomainError("deformation degree must be >= 1")
     w = cycle.weights
     m = len(w)
-    _check_fiber_cap(m, settings)
-    simple = cycle.is_simple
-    asym = is_asymmetric(cycle, settings)
-
-    if n % m == 0:
-        failing = tuple(perm + (m,) for perm in itertools.permutations(range(1, m)))
-        return GenericityCertificate(simple, asym, False, failing, n)
-
-    xi_pow = [cmath.exp(2j * cmath.pi * ((n * a) % m) / m) for a in range(m)]
-    weight_scale = sum(abs(v) for v in w)
+    _check_fiber_cap(m)
+    phi = _cyclotomic(m)
     failing = []
     for perm in itertools.permutations(range(1, m)):
         alpha = perm + (m,)
-        total = sum(w[j] * xi_pow[alpha[j] % m] for j in range(m))
-        if abs(total) < settings.infinity_zero_tol * weight_scale:
+        coeffs = [0] * m
+        for j in range(m):
+            coeffs[(n * alpha[j]) % m] += w[j]
+        if (RatPoly(coeffs) % phi).is_zero:
             failing.append(alpha)
-    return GenericityCertificate(simple, asym, not failing, tuple(failing), n)
+    return GenericityCertificate(cycle.is_simple, is_asymmetric(cycle),
+                                 not failing, tuple(failing), n)
 
 
-def infinity_point_count(m, n, settings=DEFAULT):
+def infinity_point_count(m, n):
     """Unavoidable points at infinity of the deformed connection curve."""
     if m < 2:
         raise DomainError("fiber size must be >= 2")
@@ -181,7 +188,7 @@ def bound_simple(m, n):
     return num // 2
 
 
-def random_generic_cycle(m, n, rng_seed, settings=DEFAULT):
+def random_generic_cycle(m, n, rng_seed):
     """Rejection-sample an asymmetric cycle regular at infinity for degree n.
 
     Deterministic for a given seed.  For m = 2 every cycle is simple and
@@ -189,10 +196,10 @@ def random_generic_cycle(m, n, rng_seed, settings=DEFAULT):
     """
     if m < 2:
         raise DomainError("fiber size must be >= 2")
-    _check_fiber_cap(m, settings)
+    _check_fiber_cap(m)
     rng = random.Random(rng_seed)
-    bound = settings.weight_bound
-    for _ in range(settings.cycle_retry_cap):
+    bound = DEFAULT.weight_bound
+    for _ in range(DEFAULT.cycle_retry_cap):
         head = [rng.randint(-bound, bound) for _ in range(m - 1)]
         tail = -sum(head)
         if abs(tail) > bound:
@@ -201,9 +208,9 @@ def random_generic_cycle(m, n, rng_seed, settings=DEFAULT):
         if not any(weights):
             continue
         cycle = Cycle(weights)
-        if not is_asymmetric(cycle, settings):
+        if not is_asymmetric(cycle):
             continue
-        if not regular_at_infinity(cycle, n, settings).regular_at_infinity:
+        if not regular_at_infinity(cycle, n).regular_at_infinity:
             continue
         return cycle
     raise GenericCycleNotFound(

@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all modules.
 
 Errors split into two families: precondition/validation failures
-(``InputError``) and numerical failures that a caller may retry at higher
-precision (``NumericalError``).  The CLI maps these to exit codes 2 and 3.
+(``InputError``) and numerical failures on valid input (``NumericalError``);
+the oracles already climb their own precision ladder and every run is
+deterministic, so a retry fails again.  The CLI maps these to exit codes 2
+and 3.
 """
 
 
@@ -15,7 +17,7 @@ class InputError(CycleIntegralsError):
 
 
 class NumericalError(CycleIntegralsError):
-    """A numerical failure; may succeed at higher precision."""
+    """A numerical failure on valid input; the same call fails again."""
 
 
 # -- poly ------------------------------------------------------------------

@@ -85,9 +85,9 @@ class OraclePoly:
     """Fitted single-valued product polynomial with its audit trail.
 
     ``coeffs`` are in the scaled variable u = t/radius, where ``radius``
-    is the critical-value circle the product was sampled on, with an
-    overall magnitude 10**scale_log10 removed; zeros are reported in t
-    units and each has been re-verified against a vanishing branch.
+    is the critical-value circle the product was sampled on, up to an
+    overall constant factor; zeros are reported in t units and each has
+    been re-verified against a vanishing branch.
     ``precision_dps`` is the rung of the precision ladder whose fit was
     accepted (None for doubles, which only a fit of the full declared
     degree passes); ``fitted_degree`` may fall short of the declared bound
@@ -101,7 +101,6 @@ class OraclePoly:
     kind: str
     coeffs: tuple
     radius: float
-    scale_log10: float
     declared_degree_bound: int
     fitted_degree: int
     fit_residual: float
@@ -110,20 +109,6 @@ class OraclePoly:
     zeros: tuple
     regular: tuple
     excluded: tuple
-
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "degree_bound": self.declared_degree_bound,
-            "fitted_degree": self.fitted_degree,
-            "fit_residual": repr(self.fit_residual),
-            "radius": repr(self.radius),
-            "scale_log10": repr(self.scale_log10),
-            "identically_zero": self.identically_zero,
-            "precision_dps": self.precision_dps,
-            "coefficients_unit_circle": [[repr(c.real), repr(c.imag)]
-                                         for c in self.coeffs],
-        }
 
 
 @dataclass(frozen=True)
@@ -146,7 +131,7 @@ def abelian_integral(inst, fiber, weights=None):
     return sum(w * gc.evaluate(z) for w, z in zip(weights, fiber.roots) if w)
 
 
-def displacement(inst, t, branch_fiber, settings=DEFAULT):
+def displacement(inst, t, branch_fiber):
     """sum_j n_j f(w_j) on a fiber of f + eps*g, checked against the exact
     identity sum n_j f(w_j) = -eps * sum n_j g(w_j)."""
     if inst.epsilon is None:
@@ -160,7 +145,7 @@ def displacement(inst, t, branch_fiber, settings=DEFAULT):
     gsum = sum(w * gc.evaluate(z) for w, z in zip(weights, branch_fiber.roots) if w)
     eps = float(inst.epsilon)
     scale = 1.0 + abs(t) + abs(delta) + abs(eps * gsum)
-    if abs(delta + eps * gsum) > settings.tol_identity * scale:
+    if abs(delta + eps * gsum) > DEFAULT.tol_identity * scale:
         raise IdentityViolation(
             f"displacement identity violated at t={t}: {delta} vs {-eps * gsum}")
     return delta
@@ -225,16 +210,12 @@ class _ProductSampler:
         self.wabs = float(sum(abs(w) for w in self.weights))
         self._mp_cache = {}
 
-    @property
-    def n_factors(self):
-        return len(self.patterns)
-
     def factors_d(self, roots):
         vals = self.ic.evaluate(np.asarray(roots, dtype=complex))
         return vals[self.index] @ self.wvec, float(np.max(np.abs(vals)))
 
-    def fiber_d(self, t, settings, init=None):
-        return roots_raw(self.pc.minus(t).coeffs, settings, init=init)
+    def fiber_d(self, t, init=None):
+        return roots_raw(self.pc.minus(t).coeffs, init=init)
 
     def _mp_coeffs(self, poly, dps):
         key = (id(poly), dps)
@@ -264,27 +245,27 @@ class _ProductSampler:
                 factors.append(acc)
             return factors, vmax
 
-    def log_abs_d(self, t, settings):
+    def log_abs_d(self, t):
         """log |N(t)| up to the constant prescale (-inf at exact zeros)."""
-        roots = self.fiber_d(t, settings)
+        roots = self.fiber_d(t)
         factors, _ = self.factors_d(roots)
         absf = np.abs(factors)
         if np.any(absf == 0.0):
             return -math.inf
         return float(np.sum(np.log(absf)))
 
-    def ring_ratio(self, t, settings):
+    def ring_ratio(self, t):
         """|N| at a claimed zero vs max |N| on a small surrounding ring.
 
         Scale free: a genuine zero of multiplicity k extracted with error e
         scores ~ (e/delta)^k, while a phantom root of the fitted polynomial
         scores O(1).
         """
-        delta = settings.ring_delta * (1.0 + abs(t))
+        delta = DEFAULT.ring_delta * (1.0 + abs(t))
         ring = [t + delta * cmath.exp(1j * math.pi * (2 * k + 1) / 4)
                 for k in range(4)]
-        center = self.log_abs_d(t, settings)
-        edge = max(self.log_abs_d(z, settings) for z in ring)
+        center = self.log_abs_d(t)
+        edge = max(self.log_abs_d(z) for z in ring)
         if center == -math.inf:
             return 0.0
         if edge == -math.inf:
@@ -292,7 +273,7 @@ class _ProductSampler:
         return math.exp(min(700.0, center - edge))
 
 
-def _fit_double(sampler, degree_bound, radius, settings):
+def _fit_double(sampler, degree_bound, radius):
     """Samples of the prescaled product on the circle and their DFT.
 
     f, g and the weights are real, so the fiber over conj(t) is the
@@ -302,18 +283,18 @@ def _fit_double(sampler, degree_bound, radius, settings):
     their mirrors.  The prescale is taken at the real point t = radius, so
     it is real, and the identically-zero test sees every factor modulus.
     """
-    k_count = settings.samples_factor * (degree_bound + 1)
+    k_count = DEFAULT.samples_factor * (degree_bound + 1)
     samples = np.zeros(k_count, dtype=complex)
     # a branch vanishing to noise at every sample means the product is
     # identically zero (a nonzero polynomial of degree <= D cannot be tiny
     # at all K > D samples)
-    factor_zero_tol = 100.0 * settings.identically_zero
+    factor_zero_tol = 100.0 * DEFAULT.identically_zero
     all_zero = True
     log_prescale = None
     prev = None
     for k in range(k_count // 2 + 1):
         t = radius * cmath.exp(2j * cmath.pi * k / k_count)
-        roots = sampler.fiber_d(t, settings, init=prev)
+        roots = sampler.fiber_d(t, init=prev)
         prev = roots
         factors, vmax = sampler.factors_d(roots)
         absf = np.abs(factors) + 1e-300
@@ -324,20 +305,20 @@ def _fit_double(sampler, degree_bound, radius, settings):
             log_prescale = float(np.mean(np.log(absf)))
         samples[k] = np.prod(factors * np.exp(-log_prescale))
     if all_zero:
-        return None, None, 0.0, log_prescale * sampler.n_factors
+        return None, None, 0.0
     lower = np.arange(k_count // 2 + 1, k_count)
     samples[lower] = np.conj(samples[k_count - lower])
     max_abs = float(np.max(np.abs(samples)))
     coeffs = np.fft.fft(samples) / k_count
     tail = float(np.max(np.abs(coeffs[degree_bound + 1:]))) if degree_bound + 1 < k_count else 0.0
     residual = tail / max_abs
-    return coeffs[:degree_bound + 1], max_abs, residual, log_prescale * sampler.n_factors
+    return coeffs[:degree_bound + 1], max_abs, residual
 
 
-def _fit_mp(sampler, degree_bound, radius, settings, dps):
+def _fit_mp(sampler, degree_bound, radius, dps):
     """`_fit_double` at ``dps`` digits: the upper half circle is solved and
     the lower half is its exact conjugate."""
-    k_count = settings.samples_factor * (degree_bound + 1)
+    k_count = DEFAULT.samples_factor * (degree_bound + 1)
     with mp.workdps(dps):
         samples = []
         factor_zero_tol = mp.mpf(10) ** (-(dps - 8))
@@ -355,21 +336,21 @@ def _fit_mp(sampler, degree_bound, radius, settings, dps):
                 all_zero = False
             if log_prescale is None:
                 log_prescale = sum(mp.log(abs(v) + tiny)
-                                   for v in factors) / sampler.n_factors
+                                   for v in factors) / len(factors)
             rescale = mp.exp(-log_prescale)
             value = mp.mpc(1)
             for v in factors:
                 value *= v * rescale
             samples.append(value)
         if all_zero:
-            return None, None, 0.0, float(log_prescale * sampler.n_factors)
+            return None, None, 0.0
         samples += [mp.conj(samples[k_count - k])
                     for k in range(k_count // 2 + 1, k_count)]
         max_abs = max(abs(s) for s in samples)
         coeffs = dft_fit_mp(samples, dps)
         tail = max(abs(c) for c in coeffs[degree_bound + 1:]) if degree_bound + 1 < k_count else mp.mpf(0)
         residual = float(tail / max_abs)
-        return coeffs[:degree_bound + 1], max_abs, residual, float(log_prescale * sampler.n_factors)
+        return coeffs[:degree_bound + 1], max_abs, residual
 
 
 def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
@@ -389,7 +370,7 @@ def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
     return deg
 
 
-def _verify_zeros(sampler, zeros, settings):
+def _verify_zeros(sampler, zeros):
     """Ring-verify one representative per distinct zero.
 
     The ring test resolves ratios down to the double-precision log floor,
@@ -400,11 +381,10 @@ def _verify_zeros(sampler, zeros, settings):
     for z in zeros:
         if all(abs(z - r) > 1e-6 * (1.0 + abs(r)) for r in reps):
             reps.append(z)
-    return all(sampler.ring_ratio(z, settings) <= settings.root_verify
-               for z in reps)
+    return all(sampler.ring_ratio(z) <= DEFAULT.root_verify for z in reps)
 
 
-def _split_regular(clusters, crit_values, settings):
+def _split_regular(clusters, crit_values):
     """Separate zero clusters sitting on a critical value from regular ones.
 
     The exclusion radius adapts to the observed cluster scatter: a cluster
@@ -419,18 +399,17 @@ def _split_regular(clusters, crit_values, settings):
         scatter = max((abs(z - center) for z in members), default=0.0)
         near = any(
             abs(center - cv) <= 10.0 * scatter
-            + settings.exclusion_floor * (1.0 + abs(cv))
+            + DEFAULT.exclusion_floor * (1.0 + abs(cv))
             for cv in crit_values)
         if near:
             excluded.append(center)
         else:
             regular.append((center, len(members)))
-    return (tuple(lex_sorted(regular, settings.tol_cluster, key=lambda zm: zm[0])),
-            tuple(lex_sorted(excluded, settings.tol_cluster)))
+    return (tuple(lex_sorted(regular, DEFAULT.tol_cluster, key=lambda zm: zm[0])),
+            tuple(lex_sorted(excluded, DEFAULT.tol_cluster)))
 
 
-def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values,
-                  settings):
+def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
     """Sample on one circle, fit, extract, ring-verify and group the zeros
     at increasing precision.
 
@@ -457,19 +436,17 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values,
     ladder climbs as for a failed ring test.
     """
     last_residual = None
-    tol = lambda z: settings.cluster_scale * (base_scale + abs(z))
+    tol = lambda z: DEFAULT.cluster_scale * (base_scale + abs(z))
     for dps in _DPS_LADDER:
         if dps is None:
-            coeffs, max_abs, residual, log_scale = _fit_double(
-                sampler, degree_bound, radius, settings)
+            coeffs, max_abs, residual = _fit_double(sampler, degree_bound, radius)
         else:
-            coeffs, max_abs, residual, log_scale = _fit_mp(
-                sampler, degree_bound, radius, settings, dps)
+            coeffs, max_abs, residual = _fit_mp(sampler, degree_bound, radius, dps)
         if coeffs is None:
-            return OraclePoly(kind, (), radius, log_scale / math.log(10.0),
-                              degree_bound, 0, 0.0, True, dps, (), (), ())
+            return OraclePoly(kind, (), radius, degree_bound, 0, 0.0, True, dps,
+                              (), (), ())
         last_residual = residual
-        if residual > settings.tol_fit:
+        if residual > DEFAULT.tol_fit:
             continue
         tail_abs = residual * max_abs
         with mp.workdps(dps or 15):
@@ -488,14 +465,13 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values,
                 tol_exp = max(32, (dps - 4) // 2)
                 u_roots = aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp)
                 zeros = tuple(complex(radius * u) for u in u_roots)
-        if not _verify_zeros(sampler, zeros, settings):
+        if not _verify_zeros(sampler, zeros):
             continue
         regular, excluded = _split_regular(cluster_points(zeros, tol),
-                                           crit_values, settings)
+                                           crit_values)
         if sampler.signed and any(mult % 2 for _, mult in regular):
             continue
-        return OraclePoly(kind, tuple(complex(c) for c in coeffs),
-                          radius, log_scale / math.log(10.0),
+        return OraclePoly(kind, tuple(complex(c) for c in coeffs), radius,
                           degree_bound, fitted, residual, False, dps,
                           zeros, regular, excluded)
     raise FitRejected(
@@ -503,16 +479,16 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values,
         f"{last_residual})")
 
 
-def _check_caps(m, n_fiber, degree_bound, settings):
-    if n_fiber > settings.oracle_fiber_cap:
+def _check_caps(n_fiber, degree_bound):
+    if n_fiber > DEFAULT.oracle_fiber_cap:
         raise InputError(
-            f"fiber size {n_fiber} exceeds oracle cap {settings.oracle_fiber_cap}")
-    if degree_bound > settings.degree_cap:
+            f"fiber size {n_fiber} exceeds oracle cap {DEFAULT.oracle_fiber_cap}")
+    if degree_bound > DEFAULT.degree_cap:
         raise InputError(
-            f"oracle degree bound {degree_bound} exceeds cap {settings.degree_cap}")
+            f"oracle degree bound {degree_bound} exceeds cap {DEFAULT.degree_cap}")
 
 
-def build_tangential_oracle(inst, settings=DEFAULT):
+def build_tangential_oracle(inst):
     """Product of the distinct branch factors of the integral of g on the
     cycle over all fiber orderings.
 
@@ -524,25 +500,25 @@ def build_tangential_oracle(inst, settings=DEFAULT):
     g_eff = inst.g
     if inst.n % m == 0:
         g_eff, _ = reduce_deformation(inst.f, inst.g)
-    crit = critical_values(inst.f, settings)
-    radius = settings.radius_factor * (1.0 + crit.max_abs)
+    crit = critical_values(inst.f)
+    radius = DEFAULT.radius_factor * (1.0 + crit.max_abs)
     if g_eff.is_zero:
-        return OraclePoly("tangential", (), radius, 0.0, 0, 0, 0.0, True,
-                          None, (), (), ())
+        return OraclePoly("tangential", (), radius, 0, 0, 0.0, True, None,
+                          (), (), ())
     degree_bound = g_eff.degree * math.factorial(m - 1)
     if inst.cycle.is_simple and m > 2:
         # a simple cycle forces (d-1)(m-2)! intersection points at
         # infinity, each of which lowers the product degree by one
         d = math.gcd(m, g_eff.degree)
         degree_bound -= (d - 1) * math.factorial(m - 2)
-    _check_caps(m, m, degree_bound, settings)
+    _check_caps(m, degree_bound)
     assignments = tuple(itertools.permutations(range(m)))
     sampler = _ProductSampler(inst.f, g_eff, inst.cycle.weights, assignments)
     return _build_oracle("tangential", sampler, degree_bound // sampler.power,
-                         radius, radius, crit.critical_values, settings)
+                         radius, radius, crit.critical_values)
 
 
-def build_infinitesimal_oracle(inst, settings=DEFAULT):
+def build_infinitesimal_oracle(inst):
     """Product of the distinct branch factors over injections of the weight
     slots into the deformed fiber, with the degree bound of the product over
     all injections divided by the number of injections per distinct factor.
@@ -563,18 +539,17 @@ def build_infinitesimal_oracle(inst, settings=DEFAULT):
         if n % m == 0:
             degree_bound -= math.factorial(m - 1)
         integrand = inst.f
-    _check_caps(m, n_fiber, degree_bound, settings)
-    crit_eps = critical_values(p, settings)
-    radius = settings.radius_factor * (1.0 + crit_eps.max_abs)
+    _check_caps(n_fiber, degree_bound)
+    crit_eps = critical_values(p)
+    radius = DEFAULT.radius_factor * (1.0 + crit_eps.max_abs)
     # zeros cluster at the scale of the critical values of f: for deg g >
     # deg f, f + eps*g has critical values far out that would widen them
-    base_scale = settings.radius_factor * (
-        1.0 + critical_values(inst.f, settings).max_abs)
+    base_scale = DEFAULT.radius_factor * (1.0 + critical_values(inst.f).max_abs)
     assignments = tuple(itertools.permutations(range(n_fiber), m))
     sampler = _ProductSampler(p, integrand, inst.cycle.weights, assignments)
     return _build_oracle("infinitesimal", sampler,
                          degree_bound // sampler.power, radius, base_scale,
-                         crit_eps.critical_values, settings)
+                         crit_eps.critical_values)
 
 
 # -- Brieskorn data ----------------------------------------------------------
@@ -611,7 +586,7 @@ def brieskorn_generators(f, n):
     return basis
 
 
-def design_g_with_zeros(f, cycle, targets, n, branch=None, settings=DEFAULT):
+def design_g_with_zeros(f, cycle, targets, n, branch=None):
     """A degree-<=n deformation whose integral on the chosen branch vanishes
     at every target.
 
@@ -630,7 +605,7 @@ def design_g_with_zeros(f, cycle, targets, n, branch=None, settings=DEFAULT):
         return basis.generators[0]
     if len(set(targets)) != len(targets):
         raise InputError("targets must be pairwise distinct")
-    crit = critical_values(f, settings)
+    crit = critical_values(f)
     weights = cycle.weights
     m = f.degree
     if branch is None:
@@ -638,7 +613,7 @@ def design_g_with_zeros(f, cycle, targets, n, branch=None, settings=DEFAULT):
     pc = f.to_complex()
     rows = []
     for t in targets:
-        fib = solve_fiber(pc, t, settings, critical=crit)
+        fib = solve_fiber(pc, t, critical=crit)
         gens_at = []
         for gen in basis.generators:
             gc = gen.to_complex()
@@ -657,10 +632,10 @@ def design_g_with_zeros(f, cycle, targets, n, branch=None, settings=DEFAULT):
     # independent verification through fresh fiber solves
     scale = max(1.0, float(np.max(np.abs(a))))
     for t in targets:
-        fib = solve_fiber(pc, t, settings, critical=crit)
+        fib = solve_fiber(pc, t, critical=crit)
         val = sum(w * g.evaluate(fib.roots[branch[j]])
                   for j, w in enumerate(weights) if w)
-        if abs(val) > settings.tol_design * scale:
+        if abs(val) > DEFAULT.tol_design * scale:
             raise SingularDesignSystem(
                 f"design residual {abs(val):.2e} at target {t}; "
                 "perturb the targets and retry")

@@ -251,7 +251,6 @@ class CriticalData:
 
     critical_points: tuple
     critical_values: tuple
-    clustering_tolerance: float
 
     @property
     def spread(self):
@@ -335,7 +334,7 @@ def _initial_circle(coeffs):
             for k in range(d)]
 
 
-def roots_raw(coeffs, settings=DEFAULT, init=None):
+def roots_raw(coeffs, init=None):
     """All complex roots of an ascending coefficient list (no clustering).
 
     Runs the scalar Aberth-Ehrlich kernel from ``init`` when it holds d
@@ -364,8 +363,8 @@ def roots_raw(coeffs, settings=DEFAULT, init=None):
     if start is None:
         start = _initial_circle(coeffs)
 
-    tol = settings.tol_root
-    z, ok = _aberth(coeffs, start, tol, settings.max_newton_iter)
+    tol = DEFAULT.tol_root
+    z, ok = _aberth(coeffs, start, tol, DEFAULT.max_newton_iter)
     if ok:
         return z
 
@@ -429,35 +428,35 @@ def cluster_points(points, tol_of_point):
     return out
 
 
-def roots(p, settings=DEFAULT):
+def roots(p, tol_cluster=DEFAULT.tol_cluster):
     """Roots of a ComplexPoly with multiplicities.
 
-    Roots within the cluster tolerance merge with summed multiplicity; the
-    returned pairs are sorted by ``lex_sorted`` at the same tolerance.
+    Roots within ``tol_cluster * (1 + |z|)`` merge with summed multiplicity
+    (a k-fold root scatters about eps^(1/k) in doubles, so pass a wider
+    radius for one); the pairs are sorted by ``lex_sorted`` at that radius.
     """
     if p.is_zero:
         raise ZeroPolynomial("roots of the zero polynomial")
     if p.degree < 1:
         raise InputError("roots requires degree >= 1")
-    raw = roots_raw(p.coeffs, settings)
-    tol = lambda z: settings.tol_cluster * (1.0 + abs(z))
+    raw = roots_raw(p.coeffs)
+    tol = lambda z: tol_cluster * (1.0 + abs(z))
     return lex_sorted([(center, len(members))
                        for center, members in cluster_points(raw, tol)],
-                      settings.tol_cluster, key=lambda zm: zm[0])
+                      tol_cluster, key=lambda zm: zm[0])
 
 
-def critical_values(f, settings=DEFAULT):
+def critical_values(f):
     """Critical points of f and its deduplicated critical values."""
     if f.degree < 2:
         raise InputError("critical values require deg f >= 2")
     df = f.derivative().to_complex()
-    points = roots_raw(df.coeffs, settings)
+    points = roots_raw(df.coeffs)
     fc = f.to_complex()
     values = [complex(fc.evaluate(z)) for z in points]
-    tol = lambda v: settings.tol_cluster * (1.0 + abs(v))
+    tol = lambda v: DEFAULT.tol_cluster * (1.0 + abs(v))
     centers = [c for c, _ in cluster_points(values, tol)]
     return CriticalData(
-        critical_points=tuple(lex_sorted(points.tolist(), settings.tol_cluster)),
-        critical_values=tuple(lex_sorted(centers, settings.tol_cluster)),
-        clustering_tolerance=settings.tol_cluster,
+        critical_points=tuple(lex_sorted(points.tolist(), DEFAULT.tol_cluster)),
+        critical_values=tuple(lex_sorted(centers, DEFAULT.tol_cluster)),
     )

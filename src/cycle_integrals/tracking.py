@@ -30,7 +30,6 @@ class Fiber:
     t: complex
     roots: tuple
     poly: ComplexPoly
-    basepoint_tag: str
 
 
 @dataclass(frozen=True)
@@ -67,24 +66,24 @@ class MonodromyRep:
         }
 
 
-def exclusion_radius(critical, settings=DEFAULT):
-    return settings.exclusion_scale * (1.0 + critical.spread)
+def exclusion_radius(critical):
+    return DEFAULT.exclusion_scale * (1.0 + critical.spread)
 
 
-def critical_exclusion(value, settings=DEFAULT):
+def critical_exclusion(value):
     """Scale-aware exclusion radius around one critical value.
 
     Per-value scaling keeps the disks proportionate when a singular
     perturbation pushes some critical values to huge magnitudes while
     others stay small.
     """
-    return settings.exclusion_scale * (1.0 + abs(value))
+    return DEFAULT.exclusion_scale * (1.0 + abs(value))
 
 
-def per_cv_radii(critical, settings=DEFAULT):
+def per_cv_radii(critical):
     """Loop radius per critical value, shrunk near clustered values."""
     vals = critical.critical_values
-    r = exclusion_radius(critical, settings)
+    r = exclusion_radius(critical)
     radii = []
     for i, cv in enumerate(vals):
         dmin = min((abs(cv - o) for j, o in enumerate(vals) if j != i),
@@ -93,29 +92,26 @@ def per_cv_radii(critical, settings=DEFAULT):
     return radii
 
 
-def _sorted_roots(values, ordering, settings):
+def _sorted_roots(values, ordering):
     if ordering == "real":
         imag = max(abs(z.imag) for z in values)
         scale = 1.0 + max(abs(z) for z in values)
         if imag > 1e-6 * scale:
             raise InputError("real ordering requested for a non-real fiber")
         return tuple(sorted(values, key=lambda z: z.real))
-    return tuple(lex_sorted(values, settings.tol_cluster))
+    return tuple(lex_sorted(values, DEFAULT.tol_cluster))
 
 
-def solve_fiber(p, t, settings=DEFAULT, ordering="lex", critical=None):
+def solve_fiber(p, t, ordering="lex", critical=None):
     """Fiber of p at t in canonical order (``lex_sorted`` by (re, im))."""
     if critical is not None:
-        r = exclusion_radius(critical, settings)
+        r = exclusion_radius(critical)
         for cv in critical.critical_values:
             if abs(t - cv) <= r:
                 raise NearCriticalValue(
                     f"t={t} is within {r:g} of critical value {cv}")
-    raw = roots_raw(p.minus(t).coeffs, settings)
-    values = [complex(z) for z in raw]
-    tag = f"{ordering}@{t!r}"
-    return Fiber(t=complex(t), roots=_sorted_roots(values, ordering, settings),
-                 poly=p, basepoint_tag=tag)
+    values = [complex(z) for z in roots_raw(p.minus(t).coeffs)]
+    return Fiber(t=complex(t), roots=_sorted_roots(values, ordering), poly=p)
 
 
 def _match(old, new):
@@ -144,7 +140,7 @@ def _segment_distance(point, a, b):
     return abs(point - (a + s * ab))
 
 
-def track_path(fiber, path, settings=DEFAULT, critical=None):
+def track_path(fiber, path, critical=None):
     """Continue an ordered fiber along waypoints in the t-plane.
 
     Between waypoints the step is adaptive: it halves whenever the matching
@@ -152,7 +148,7 @@ def track_path(fiber, path, settings=DEFAULT, critical=None):
     stay outside the hard exclusion disks around critical values.
     """
     if critical is not None:
-        radii = per_cv_radii(critical, settings)
+        radii = per_cv_radii(critical)
         for a, b in zip([fiber.t] + list(path[:-1]), path):
             for cv, r_cv in zip(critical.critical_values, radii):
                 if _segment_distance(cv, complex(a), complex(b)) < 0.25 * r_cv:
@@ -176,14 +172,14 @@ def track_path(fiber, path, settings=DEFAULT, critical=None):
             step = min(step, seg_len - pos)
             t_next = current_t + direction * (pos + step)
             try:
-                raw = roots_raw(p.minus(t_next).coeffs, settings, init=current)
+                raw = roots_raw(p.minus(t_next).coeffs, init=current)
                 new = [complex(z) for z in raw]
                 assignment = _match(current, new)
             except NumericalError:
                 assignment = None
             if assignment is None:
                 step *= 0.5
-                if step < settings.step_floor * (1.0 + abs(target)):
+                if step < DEFAULT.step_floor * (1.0 + abs(target)):
                     raise MatchingAmbiguous(
                         f"step size underflow near t={current_t}")
                 continue
@@ -192,8 +188,7 @@ def track_path(fiber, path, settings=DEFAULT, critical=None):
             step *= 1.7
         current_t = target
 
-    return Fiber(t=current_t, roots=tuple(current), poly=p,
-                 basepoint_tag=fiber.basepoint_tag + "+tracked")
+    return Fiber(t=current_t, roots=tuple(current), poly=p)
 
 
 def _permutation(fiber_start, fiber_end):
@@ -248,11 +243,11 @@ def loop_waypoints(basepoint, cv, radius, turns=1):
             + [basepoint])
 
 
-def _clear_basepoint(critical, settings):
+def _clear_basepoint(critical):
     """Deterministic basepoint right of all critical values with clear
     keyhole segments."""
     vals = critical.critical_values
-    radii = per_cv_radii(critical, settings)
+    radii = per_cv_radii(critical)
     spread = max(critical.spread, 1.0)
     max_re = max(v.real for v in vals)
     offsets = [0.0]
@@ -278,8 +273,8 @@ def _clear_basepoint(critical, settings):
     raise NumericalError("could not place a clear monodromy basepoint")
 
 
-def _clear_ray_angle(t0, critical, settings):
-    radii = per_cv_radii(critical, settings)
+def _clear_ray_angle(t0, critical):
+    radii = per_cv_radii(critical)
     base = cmath.phase(t0) if t0 != 0 else 0.0
     candidates = [base]
     for k in range(1, 16):
@@ -293,7 +288,7 @@ def _clear_ray_angle(t0, critical, settings):
     raise NumericalError("no clear ray to infinity from the basepoint")
 
 
-def monodromy(f, settings=DEFAULT, basepoint=None, ordering="lex"):
+def monodromy(f, basepoint=None, ordering="lex"):
     """Monodromy representation of f from keyhole loops.
 
     Loops are sorted counterclockwise by argument seen from the basepoint;
@@ -302,36 +297,35 @@ def monodromy(f, settings=DEFAULT, basepoint=None, ordering="lex"):
     """
     if f.degree < 2:
         raise InputError("monodromy requires deg f >= 2")
-    critical = critical_values(f, settings)
-    radii = dict(zip(critical.critical_values, per_cv_radii(critical, settings)))
+    critical = critical_values(f)
+    radii = dict(zip(critical.critical_values, per_cv_radii(critical)))
     p = f.to_complex()
 
     if basepoint is None:
-        t0 = _clear_basepoint(critical, settings)
+        t0 = _clear_basepoint(critical)
     else:
         t0 = complex(basepoint)
         for cv, r_cv in radii.items():
             if abs(t0 - cv) <= 2.0 * r_cv:
                 raise NearCriticalValue("basepoint inside an exclusion disk")
 
-    fiber0 = solve_fiber(p, t0, settings, ordering=ordering, critical=critical)
+    fiber0 = solve_fiber(p, t0, ordering=ordering, critical=critical)
 
     # sort loops counterclockwise by argument, anchored at the (cleared)
     # ray direction used for the loop around infinity; this makes the
     # composition identity hold for interior basepoints too
-    theta, far = _clear_ray_angle(t0, critical, settings)
+    theta, far = _clear_ray_angle(t0, critical)
     two_pi = 2.0 * math.pi
     order = sorted(critical.critical_values,
                    key=lambda cv: (cmath.phase(cv - t0) - theta) % two_pi)
     loops = []
     for cv in order:
-        end = track_path(fiber0, loop_waypoints(t0, cv, radii[cv]),
-                         settings, critical)
+        end = track_path(fiber0, loop_waypoints(t0, cv, radii[cv]), critical)
         loops.append((cv, _permutation(fiber0, end)))
 
     ray_start = far * cmath.exp(1j * theta)
     waypoints = [ray_start] + _circle(0.0, far, theta, 24) + [t0]
-    end = track_path(fiber0, waypoints, settings, critical)
+    end = track_path(fiber0, waypoints, critical)
     infinity_perm = _permutation(fiber0, end)
 
     composed = loops[0][1] if loops else tuple(range(f.degree))
@@ -385,10 +379,10 @@ def _int_rank(rows):
     return rank
 
 
-def orbit_rank(f, cycle, settings=DEFAULT, rep=None):
+def orbit_rank(f, cycle, rep=None):
     """Dimension over Q of the span of the monodromy orbit of a cycle."""
     if rep is None:
-        rep = monodromy(f, settings)
+        rep = monodromy(f)
     if len(cycle.weights) != len(rep.fiber.roots):
         raise InputError("cycle length must match the fiber size")
     gens = []

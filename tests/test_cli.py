@@ -73,12 +73,15 @@ class TestInstanceCommands:
         assert main(["tangential", "--instance", str(path)]) == 2
         assert "precision_bits" in capsys.readouterr().err
 
-    def test_precision_bits_flag_rejected(self, capsys, paper_instance):
+    @pytest.mark.parametrize("flag", ["--precision-bits", "--tol-root",
+                                      "--tol-cluster", "--tol-fit",
+                                      "--degree-cap"])
+    def test_precision_bits_flag_rejected(self, capsys, paper_instance, flag):
+        # precision and tolerances are constants: no flag sets them
         with pytest.raises(SystemExit) as exc:
-            main(["tangential", "--instance", paper_instance,
-                  "--precision-bits", "200"])
+            main(["tangential", "--instance", paper_instance, flag, "200"])
         assert exc.value.code == 2
-        assert "--precision-bits" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_invalid_cycle_rejected(self, tmp_path, capsys):
         bad = dict(PAPER)

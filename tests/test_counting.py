@@ -62,7 +62,7 @@ class TestTangentialCount:
         report = count_tangential_zeros(inst)
         assert report.count == 18 and report.sharp
         assert report.precision_dps == 40
-        crit = critical_values(inst.f, DEFAULT)
+        crit = critical_values(inst.f)
         assert build_tangential_oracle(inst).radius == \
             DEFAULT.radius_factor * (1.0 + crit.max_abs)
 
@@ -102,7 +102,7 @@ class TestTangentialCount:
         for zeros in ([left, right], [right, left]):
             clusters = cluster_points(
                 zeros, lambda z: DEFAULT.cluster_scale * (1.0 + abs(z)))
-            regular, excluded = melnikov._split_regular(clusters, zeros, DEFAULT)
+            regular, excluded = melnikov._split_regular(clusters, zeros)
             assert regular == () and excluded == (left, right)
 
     def test_identically_zero_raises(self):
@@ -136,7 +136,7 @@ class TestInfinitesimalCount:
                                  Fraction(-1, 2)]),
                         Cycle((-3, -1, 4)), epsilon=Fraction(1, 100))
         oracle = build_infinitesimal_oracle(inst)
-        crit = critical_values(inst.deformed_poly(), DEFAULT)
+        crit = critical_values(inst.deformed_poly())
         assert oracle.radius == DEFAULT.radius_factor * (1.0 + crit.max_abs)
         assert (oracle.fitted_degree, oracle.declared_degree_bound) == (2, 4)
         report = count_infinitesimal_zeros(inst)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -79,6 +80,17 @@ class TestRegularAtInfinity:
         cert = regular_at_infinity(Cycle((1, 2, -3)), 3)
         assert not cert.regular_at_infinity
         assert len(cert.failing_permutations) == 2  # all of Stab_3
+
+    def test_sum_vanishing_without_pairwise_cancellation(self):
+        # xi = exp(2 pi i/6) has 1 + xi^2 + xi^4 = 0.  With n = 1 the last
+        # weight sits on exponent 0, so the sum vanishes exactly when the
+        # -1 weights take the exponents {0, 2, 4} and the +1 weights
+        # {1, 3, 5}, although no two of its terms cancel
+        cert = regular_at_infinity(Cycle((1, 1, 1, -1, -1, -1)), 1)
+        assert not cert.regular_at_infinity
+        assert set(cert.failing_permutations) == {
+            odd + even + (6,) for odd in itertools.permutations((1, 3, 5))
+            for even in itertools.permutations((2, 4))}
 
     def test_two_point_fiber(self):
         assert regular_at_infinity(Cycle((1, -1)), 3).regular_at_infinity

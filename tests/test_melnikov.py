@@ -258,7 +258,7 @@ class TestHalfCircleSampling:
         oracle = build_tangential_oracle(inst)
         calls = _count_calls(monkeypatch, "fiber_d")
         _fit_double(_sampler(inst), oracle.declared_degree_bound,
-                    oracle.radius, DEFAULT)
+                    oracle.radius)
         k_count = DEFAULT.samples_factor * (oracle.declared_degree_bound + 1)
         assert len(calls) == k_count // 2 + 1
         assert all(t.imag >= 0 for t in calls)
@@ -268,7 +268,7 @@ class TestHalfCircleSampling:
         assert oracle.precision_dps == 40
         calls = _count_calls(monkeypatch, "fiber_mp")
         _fit_mp(_sampler(TRIAL0), oracle.declared_degree_bound, oracle.radius,
-                DEFAULT, 40)
+                40)
         k_count = DEFAULT.samples_factor * (oracle.declared_degree_bound + 1)
         assert len(calls) == k_count // 2 + 1
 
@@ -285,7 +285,7 @@ class TestHalfCircleSampling:
         def sample(turns):
             if dps is None:
                 t = radius * complex(mp.expjpi(turns))
-                factors, _ = sampler.factors_d(sampler.fiber_d(t, DEFAULT))
+                factors, _ = sampler.factors_d(sampler.fiber_d(t))
                 return complex(np.prod(factors))
             t = radius * mp.expjpi(turns)
             factors, _ = sampler.factors_mp(sampler.fiber_mp(t, dps), dps)

@@ -110,7 +110,7 @@ class TestRoots:
         # (z-1)^3 (z+2); a triple root scatters ~cbrt(eps) at double
         # precision, so merge with a matching cluster tolerance
         p = RatPoly([-2, 5, -3, -1, 1])
-        got = roots(p.to_complex(), DEFAULT.with_overrides(tol_cluster=1e-3))
+        got = roots(p.to_complex(), tol_cluster=1e-3)
         got.sort(key=lambda zm: zm[0].real)
         assert [m for _, m in got] == [1, 3]
         assert close(got[0][0], -2, 1e-7)

@@ -8,32 +8,50 @@ from cycle_integrals.config import Settings
 from cycle_integrals.melnikov import OraclePoly
 
 
+def _package_trees():
+    for path in sorted(Path(cycle_integrals.__file__).parent.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements, so invariants must raise
     # typed errors instead
     offenders = []
-    for path in sorted(Path(cycle_integrals.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _package_trees():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert not offenders, offenders
 
 
 def test_every_setting_is_read():
-    # a knob that no code reads is dead configuration: every Settings field
-    # must be read as settings.<field> outside the module defining it
+    # a constant that no code reads is dead configuration: every Settings
+    # field must be read as DEFAULT.<field> outside the module defining it
     read = set()
-    for path in sorted(Path(cycle_integrals.__file__).parent.rglob("*.py")):
+    for path, tree in _package_trees():
         if path.name == "config.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         read |= {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)
                  and isinstance(node.value, ast.Name)
-                 and node.value.id == "settings"}
+                 and node.value.id == "DEFAULT"}
     unread = [field.name for field in dataclasses.fields(Settings)
               if field.name not in read]
     assert not unread, unread
+
+
+def test_no_settings_parameter():
+    # tolerances are constants read from config.DEFAULT, never passed in
+    offenders = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None]
+                if any(p.arg == "settings" for p in params):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
 
 
 def test_names_the_benchmark_tracer_reads_exist():
@@ -61,3 +79,26 @@ def test_names_the_benchmark_tracer_reads_exist():
     assert not missing, missing
     fields = {field.name for field in dataclasses.fields(OraclePoly)}
     assert {"radius", "precision_dps"} <= fields
+
+
+def test_names_the_benchmark_imports_exist():
+    # every benchmark script imports program names directly; parse them
+    # without importing, so a deleted or renamed name fails here rather
+    # than in the benchmark or in regen_literals.py
+    missing = []
+    for path in sorted((Path(__file__).resolve().parents[1]
+                        / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "cycle_integrals"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    continue
+                try:
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    missing.append(f"{path.name}: {node.module}.{alias.name}")
+    assert not missing, missing
