@@ -9,10 +9,10 @@ reproducibility.
 """
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from . import __version__
 from .config import DEFAULT
@@ -21,11 +21,11 @@ from .counting import (classify_alien, count_infinitesimal_zeros,
 from .cycles import (Cycle, bound_infinitesimal, bound_simple, bound_tangential,
                      is_asymmetric, regular_at_infinity, symmetry_group)
 from .errors import InputError, MalformedReport, NumericalError
-from .melnikov import (Instance, brieskorn_dimension, brieskorn_generators,
+from .melnikov import (brieskorn_dimension, brieskorn_generators,
                        design_g_with_zeros, reduce_deformation)
-from .poly import RatPoly
 from .serialize import (dump_report, instance_to_dict, load_instance,
-                        load_report, parse_fraction_list, parse_poly)
+                        load_report, parse_fraction_list, parse_poly,
+                        parse_rational)
 from .tracking import monodromy
 
 
@@ -139,10 +139,24 @@ def _parse_complex_list(text):
         part = part.strip()
         if part:
             try:
-                out.append(complex(part))
+                z = complex(part)
             except ValueError as exc:
                 raise InputError(f"bad complex target {part!r}") from exc
+            if not cmath.isfinite(z):
+                raise InputError(f"complex target {part!r} is not finite")
+            out.append(z)
     return out
+
+
+def _parse_basepoint(text):
+    re, im = (text.split(",") + ["0"])[:2]
+    try:
+        point = complex(float(re), float(im))
+    except ValueError as exc:
+        raise InputError(f"bad --basepoint {text!r}: expected 're,im'") from exc
+    if not cmath.isfinite(point):
+        raise InputError(f"--basepoint {text!r} is not finite")
+    return point
 
 
 def _cmd_tangential(args):
@@ -161,7 +175,7 @@ def _cmd_infinitesimal(args):
     if args.seed is not None:
         seed = args.seed
     if args.epsilon is not None:
-        inst = replace(inst, epsilon=Fraction(args.epsilon))
+        inst = replace(inst, epsilon=parse_rational(args.epsilon, "--epsilon"))
     report = count_infinitesimal_zeros(inst)
     payload = {"command": "infinitesimal",
                "instance": instance_to_dict(inst, seed),
@@ -219,10 +233,7 @@ def _cmd_reduce(args):
 
 def _cmd_monodromy(args):
     f = parse_poly(_json_array(args.f, "--f"), "f")
-    basepoint = None
-    if args.basepoint:
-        re, im = (args.basepoint.split(",") + ["0"])[:2]
-        basepoint = complex(float(re), float(im))
+    basepoint = _parse_basepoint(args.basepoint) if args.basepoint else None
     rep = monodromy(f, basepoint=basepoint,
                     ordering="real" if args.real_order else "lex")
     payload = {"command": "monodromy", "f": [str(c) for c in f.coeffs],
@@ -267,7 +278,8 @@ def _cmd_experiment(args):
     seed = args.seed if args.seed is not None else 0
     summary = run_sharpness_experiment(
         args.m, args.n, args.kind, args.trials, seed,
-        cycle_mode=args.cycle_mode, epsilon=Fraction(args.epsilon))
+        cycle_mode=args.cycle_mode,
+        epsilon=parse_rational(args.epsilon, "--epsilon"))
     payload = {"command": "experiment", "result": summary}
     return _emit(args, payload, seed)
 

@@ -130,50 +130,29 @@ def count_tangential_zeros(inst):
     if oracle.identically_zero:
         raise IdenticallyZeroIntegral(
             "the integral vanishes identically on the cycle (tangential center)")
-    bound = bound_tangential(inst.m, inst.n)
     n_eff = _effective_tangential_degree(inst)
     cert = regular_at_infinity(inst.cycle, n_eff) if n_eff else None
-    count = len(oracle.regular)
-    _check_bound(count, bound)
-    return ZeroReport(
-        kind="tangential",
-        distinct_regular_zeros=oracle.regular,
-        excluded_near_critical=oracle.excluded,
-        bound=bound,
-        count=count,
-        sharp=count == bound,
-        symmetry_order_used=symmetry_group(inst.cycle).order,
-        fitted_degree=oracle.fitted_degree,
-        degree_bound=oracle.declared_degree_bound,
-        fit_residual=oracle.fit_residual,
-        precision_dps=oracle.precision_dps,
-        certificate=cert.as_dict() if cert is not None else None,
-    )
+    return _zero_report(inst, oracle, bound_tangential(inst.m, inst.n),
+                        cert.as_dict() if cert is not None else None)
 
 
 def count_infinitesimal_zeros(inst):
     """Distinct regular zeros of the displacement at the instance epsilon."""
     if inst.epsilon in (None, 0):
         raise InputError("infinitesimal counting requires a nonzero epsilon")
-    crit_f = critical_values(inst.f)
-    base_scale = DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
-    p = inst.deformed_poly()
-    crit_eps = critical_values(p)
-    # perturbative-regime check: every critical value of f must have a
-    # nearby critical value of the deformed polynomial
-    for cv in crit_f.critical_values:
-        if min(abs(cv - ce) for ce in crit_eps.critical_values) > 2.0 * base_scale:
-            raise InputError(
-                f"epsilon={inst.epsilon} is outside the perturbative regime")
     oracle = build_infinitesimal_oracle(inst)
     if oracle.identically_zero:
         raise IdenticallyZeroIntegral(
             "the displacement vanishes identically on the deformed cycle")
-    bound = bound_infinitesimal(inst.m, inst.n)
+    return _zero_report(inst, oracle, bound_infinitesimal(inst.m, inst.n), None)
+
+
+def _zero_report(inst, oracle, bound, certificate):
     count = len(oracle.regular)
-    _check_bound(count, bound)
+    if count > bound:
+        raise NumericalError(f"{count} distinct zeros exceed the bound {bound}")
     return ZeroReport(
-        kind="infinitesimal",
+        kind=oracle.kind,
         distinct_regular_zeros=oracle.regular,
         excluded_near_critical=oracle.excluded,
         bound=bound,
@@ -184,13 +163,8 @@ def count_infinitesimal_zeros(inst):
         degree_bound=oracle.declared_degree_bound,
         fit_residual=oracle.fit_residual,
         precision_dps=oracle.precision_dps,
-        certificate=None,
+        certificate=certificate,
     )
-
-
-def _check_bound(count, bound):
-    if count > bound:
-        raise NumericalError(f"{count} distinct zeros exceed the bound {bound}")
 
 
 @dataclass(frozen=True)

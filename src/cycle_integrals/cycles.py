@@ -11,6 +11,7 @@ on the hyperplane at infinity.
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -27,6 +28,10 @@ class Cycle:
     weights: tuple
 
     def __init__(self, weights):
+        weights = tuple(weights)
+        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+                   for w in weights):
+            raise InvalidCycle(f"weights must be integers, got {weights}")
         weights = tuple(int(w) for w in weights)
         if sum(weights) != 0:
             raise InvalidCycle(f"weights must sum to zero, got {weights}")

@@ -70,10 +70,6 @@ class MatchingAmbiguous(NumericalError):
     """Continuation step size underflowed without a certified matching."""
 
 
-class OrbitExplosion(CycleIntegralsError):
-    """Monodromy orbit exceeded the vector cap."""
-
-
 # -- melnikov --------------------------------------------------------------
 
 class LengthMismatch(InputError):

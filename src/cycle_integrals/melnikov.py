@@ -16,13 +16,13 @@ the growth of the branches at infinity divided by K.  Every zero is simple,
 or of even multiplicity when a sign symmetry of the cycle pairs each factor
 F with -F.  Zeros far outside the circle make the top coefficients small;
 the circle stays, and the build climbs one fixed precision ladder
-(doubles, then 40, 80, 160 and 320 digits) until the fit resolves them.
-A rung is accepted when every extracted zero passes the ring test against
-the branches and, for a sign-symmetric product, every regular zero cluster
-has even size; this module alone decides zero multiplicities.  A
-double-precision fit is accepted only at the full declared degree and
-never for a sign-symmetric product; a fit at 40 digits or more may be
-shorter than the bound.
+(doubles, then 40, 80, 160 and 320 digits) until the fit resolves them;
+a sign-symmetric product starts at 40 digits.  A rung is accepted when
+every extracted zero passes the ring test against the branches and, for
+a sign-symmetric product, every regular zero cluster has even size; this
+module alone decides zero multiplicities.  A double-precision fit is
+accepted only at the full declared degree; a fit at 40 digits or more may
+be shorter than the bound.
 """
 
 import cmath
@@ -35,8 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from .config import DEFAULT
-# perfbench/tracer.py wraps symmetry_group where this module binds it
-from .cycles import Cycle, symmetry_group  # noqa: F401
+from .cycles import Cycle, symmetry_group
 from .errors import (CycleIntegralsError, FitRejected, IdentityViolation,
                      InputError, LengthMismatch, SingularDesignSystem)
 from .poly import (ComplexPoly, RatPoly, as_fraction, cluster_points,
@@ -186,14 +185,15 @@ class _ProductSampler:
     weights; the first assignment seen represents its set.  Every set comes
     from the same number ``power`` of assignments, so the product over all
     assignments is the product sampled here to that power.  ``signed`` says
-    whether the factors come in pairs F, -F (a sign symmetry of the
-    weights), which gives every zero of the product even multiplicity.
+    whether the factors come in pairs F, -F: a permutation of the cycle maps
+    its weights to their negatives, which gives every zero of the product
+    even multiplicity.
     """
 
-    def __init__(self, p, integrand, weights, assignments):
+    def __init__(self, p, integrand, cycle, assignments):
         self.p = p
         self.integrand = integrand
-        self.weights = tuple(weights)
+        weights = cycle.weights
         self.pc = p.to_complex()
         self.ic = integrand.to_complex()
         support = [j for j, w in enumerate(weights) if w]
@@ -203,11 +203,10 @@ class _ProductSampler:
             patterns.setdefault(key, tuple(phi[j] for j in support))
         self.patterns = tuple(patterns.values())
         self.power = len(assignments) // len(self.patterns)
-        self.signed = all(frozenset((-w, i) for w, i in key) in patterns
-                          for key in patterns)
+        self.signed = any(sign < 0 for _, sign in symmetry_group(cycle).elements)
         self.index = np.array(self.patterns, dtype=np.intp)
         self.wvec = np.array([complex(weights[j]) for j in support])
-        self.wabs = float(sum(abs(w) for w in self.weights))
+        self.wabs = float(sum(abs(w) for w in weights))
         self._mp_cache = {}
 
     def factors_d(self, roots):
@@ -424,10 +423,10 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
     the ladder resolves.  A double fit is accepted only at the full
     declared degree, since doubles cannot tell a top coefficient 1e-13
     below the largest from noise; a fit at 40 digits or more may be
-    shorter.  A sign-symmetric product never accepts its double fit:
-    it locates a double zero to about the square root of its residual, so
-    whether its ring test passes would depend on the conditioning of the
-    draw, and it seldom does.
+    shorter.  A sign-symmetric product starts the ladder at 40 digits: a
+    double fit locates a double zero to about the square root of its
+    residual, so whether its ring test passed would depend on the
+    conditioning of the draw, and it seldom does.
 
     Verified zeros are clustered at cluster_scale * (base_scale + |z|) and
     the clusters on one of ``crit_values`` are set apart.  Under a sign
@@ -437,7 +436,7 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
     """
     last_residual = None
     tol = lambda z: DEFAULT.cluster_scale * (base_scale + abs(z))
-    for dps in _DPS_LADDER:
+    for dps in _DPS_LADDER[1:] if sampler.signed else _DPS_LADDER:
         if dps is None:
             coeffs, max_abs, residual = _fit_double(sampler, degree_bound, radius)
         else:
@@ -451,7 +450,7 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
         tail_abs = residual * max_abs
         with mp.workdps(dps or 15):
             fitted = _fitted_degree(coeffs, tail_abs, max_abs, dps)
-            if dps is None and (sampler.signed or fitted < degree_bound):
+            if dps is None and fitted < degree_bound:
                 continue
             if fitted == 0:
                 zeros = ()
@@ -513,7 +512,7 @@ def build_tangential_oracle(inst):
         degree_bound -= (d - 1) * math.factorial(m - 2)
     _check_caps(m, degree_bound)
     assignments = tuple(itertools.permutations(range(m)))
-    sampler = _ProductSampler(inst.f, g_eff, inst.cycle.weights, assignments)
+    sampler = _ProductSampler(inst.f, g_eff, inst.cycle, assignments)
     return _build_oracle("tangential", sampler, degree_bound // sampler.power,
                          radius, radius, crit.critical_values)
 
@@ -525,12 +524,23 @@ def build_infinitesimal_oracle(inst):
 
     Uses the integrand f when deg g >= deg f (lower hypersurface degree
     via the exact displacement identity) and g when deg g < deg f.
+    Raises InputError when epsilon is outside the perturbative regime:
+    some critical value of f has no critical value of f + eps*g nearby.
     """
     m, n = inst.m, inst.n
     p = inst.deformed_poly()
     n_fiber = p.degree
     if n_fiber != max(m, n):
         raise InputError("epsilon degenerates the leading coefficient")
+    crit_f = critical_values(inst.f)
+    crit_eps = critical_values(p)
+    # zeros cluster at the scale of the critical values of f: for deg g >
+    # deg f, f + eps*g has critical values far out that would widen them
+    base_scale = DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
+    for cv in crit_f.critical_values:
+        if min(abs(cv - ce) for ce in crit_eps.critical_values) > 2.0 * base_scale:
+            raise InputError(
+                f"epsilon={inst.epsilon} is outside the perturbative regime")
     if n < m:
         degree_bound = n * math.factorial(m - 1)
         integrand = inst.g
@@ -540,13 +550,9 @@ def build_infinitesimal_oracle(inst):
             degree_bound -= math.factorial(m - 1)
         integrand = inst.f
     _check_caps(n_fiber, degree_bound)
-    crit_eps = critical_values(p)
     radius = DEFAULT.radius_factor * (1.0 + crit_eps.max_abs)
-    # zeros cluster at the scale of the critical values of f: for deg g >
-    # deg f, f + eps*g has critical values far out that would widen them
-    base_scale = DEFAULT.radius_factor * (1.0 + critical_values(inst.f).max_abs)
     assignments = tuple(itertools.permutations(range(n_fiber), m))
-    sampler = _ProductSampler(p, integrand, inst.cycle.weights, assignments)
+    sampler = _ProductSampler(p, integrand, inst.cycle, assignments)
     return _build_oracle("infinitesimal", sampler,
                          degree_bound // sampler.power, radius, base_scale,
                          crit_eps.critical_values)
@@ -586,14 +592,14 @@ def brieskorn_generators(f, n):
     return basis
 
 
-def design_g_with_zeros(f, cycle, targets, n, branch=None):
-    """A degree-<=n deformation whose integral on the chosen branch vanishes
-    at every target.
+def design_g_with_zeros(f, cycle, targets, n):
+    """A degree-<=n deformation whose integral on the lex-ordered fiber
+    vanishes at every target.
 
     Solves the kernel of the interpolation system over the Brieskorn
-    generators and re-verifies each target residual through independent
-    fiber solves.  Raises SingularDesignSystem when the targets exhaust or
-    degenerate the available dimensions.
+    generators and checks each target residual of the result on the fibers
+    the system was built from.  Raises SingularDesignSystem when the
+    targets exhaust or degenerate the available dimensions.
     """
     basis = brieskorn_generators(f, n)
     dim = basis.dimension
@@ -607,17 +613,14 @@ def design_g_with_zeros(f, cycle, targets, n, branch=None):
         raise InputError("targets must be pairwise distinct")
     crit = critical_values(f)
     weights = cycle.weights
-    m = f.degree
-    if branch is None:
-        branch = tuple(range(m))
     pc = f.to_complex()
+    fibers = [solve_fiber(pc, t, critical=crit) for t in targets]
     rows = []
-    for t in targets:
-        fib = solve_fiber(pc, t, critical=crit)
+    for fib in fibers:
         gens_at = []
         for gen in basis.generators:
             gc = gen.to_complex()
-            gens_at.append(sum(w * gc.evaluate(fib.roots[branch[j]])
+            gens_at.append(sum(w * gc.evaluate(fib.roots[j])
                                for j, w in enumerate(weights) if w))
         rows.append(gens_at)
     a = np.array(rows, dtype=complex)
@@ -629,11 +632,11 @@ def design_g_with_zeros(f, cycle, targets, n, branch=None):
         for d, c in enumerate(gen.coeffs):
             coeffs[d] += ck * complex(c)
     g = ComplexPoly(tuple(complex(c) for c in coeffs))
-    # independent verification through fresh fiber solves
+    # a poorly conditioned system leaves the assembled g off its targets;
+    # check it on the fibers the rows were built from
     scale = max(1.0, float(np.max(np.abs(a))))
-    for t in targets:
-        fib = solve_fiber(pc, t, critical=crit)
-        val = sum(w * g.evaluate(fib.roots[branch[j]])
+    for t, fib in zip(targets, fibers):
+        val = sum(w * g.evaluate(fib.roots[j])
                   for j, w in enumerate(weights) if w)
         if abs(val) > DEFAULT.tol_design * scale:
             raise SingularDesignSystem(

@@ -3,8 +3,11 @@
 ``RatPoly`` is the exact layer (arbitrary-precision rationals, no rounding
 anywhere); ``ComplexPoly`` is its numeric mirror and the only lossy step.
 Every double-precision root solve runs one simultaneous Aberth-Ehrlich
-kernel on Python complex scalars, with a companion-matrix fallback.  The
-oracles and the continuation in epsilon solve fibers of at most
+kernel on Python complex scalars, with a companion-matrix fallback, except
+two that call ``np.roots`` directly: ``melnikov._build_oracle`` extracts
+the zeros of a double-precision fit with it, and ``precision._double_seed``
+seeds ``precision.aberth_mp`` with it.
+The oracles and the continuation in epsilon solve fibers of at most
 ``oracle_fiber_cap`` (6) points, where numpy's per-call overhead on arrays
 of a few entries would cost more than the arithmetic.  A step costs d^2
 interpreted operations, so a vectorised kernel wins at high degree: against
@@ -163,13 +166,6 @@ class RatPoly:
     def derivative(self):
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def compose(self, q):
-        """p(q(z)), exact."""
-        result = RatPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * q + RatPoly((c,))
-        return result
-
     def evaluate(self, x):
         """Horner evaluation; exact for Fraction/int input, complex otherwise."""
         if isinstance(x, (int, Fraction)):
@@ -191,15 +187,9 @@ class RatPoly:
         return RatPoly([c / lead for c in self.coeffs])
 
     def to_complex(self):
-        """Numeric mirror; the only lossy step, rounding error recorded."""
-        coeffs = []
-        err = 0.0
-        for c in self.coeffs:
-            z = float(c)
-            coeffs.append(complex(z))
-            if c != 0:
-                err = max(err, abs(Fraction(z) - c) / abs(c))
-        return ComplexPoly(tuple(coeffs), rounding_error=float(err))
+        """Numeric mirror, each coefficient rounded to a double; the only
+        lossy step."""
+        return ComplexPoly(tuple(complex(float(c)) for c in self.coeffs))
 
 
 def poly_gcd(a, b):
@@ -216,7 +206,6 @@ class ComplexPoly:
     """Floating mirror of RatPoly: complex coefficients, ascending order."""
 
     coeffs: tuple
-    rounding_error: float = 0.0
 
     @property
     def degree(self):
@@ -232,17 +221,13 @@ class ComplexPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self):
-        return ComplexPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:],
-                           self.rounding_error)
-
     def minus(self, t):
         """Coefficients of p(z) - t."""
         if not self.coeffs:
             return ComplexPoly((-t,))
         coeffs = list(self.coeffs)
         coeffs[0] -= t
-        return ComplexPoly(tuple(coeffs), self.rounding_error)
+        return ComplexPoly(tuple(coeffs))
 
 
 @dataclass(frozen=True)

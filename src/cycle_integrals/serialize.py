@@ -7,7 +7,6 @@ decimal strings produced by repr, which keeps reports bit-reproducible.
 """
 
 import json
-from fractions import Fraction
 
 from .cycles import Cycle
 from .errors import InputError, MalformedReport
@@ -47,8 +46,7 @@ def instance_from_dict(data):
             raise InputError(f"instance file missing field {key!r}")
     f = parse_poly(data["f"], "f")
     g = parse_poly(data["g"], "g")
-    if not isinstance(data["cycle"], list) or not all(
-            isinstance(w, int) and not isinstance(w, bool) for w in data["cycle"]):
+    if not isinstance(data["cycle"], list):
         raise InputError("field 'cycle' must be an integer array")
     cycle = Cycle(data["cycle"])
     epsilon = data.get("epsilon")
@@ -108,12 +106,9 @@ def load_report(path):
 
 
 def parse_fraction_list(text):
-    """Comma-separated rationals, e.g. '1/50,1/100,1/200'."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            out.append(Fraction(part))
+    """Comma-separated rationals of a --schedule, e.g. '1/50,1/100,1/200'."""
+    out = [parse_rational(part, "--schedule") for part in text.split(",")
+           if part.strip()]
     if not out:
         raise InputError("empty rational list")
     return out

@@ -13,14 +13,13 @@ counterclockwise by argument as seen from the basepoint.
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .config import DEFAULT
 from .errors import (InputError, MatchingAmbiguous, NearCriticalValue,
-                     NumericalError, OrbitExplosion, PathThroughCriticalDisk)
+                     NumericalError, PathThroughCriticalDisk)
 from .poly import (ComplexPoly, critical_values, lex_sorted, poly_gcd, roots_raw,
                    RatPoly)
-
-ORBIT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -114,14 +113,20 @@ def solve_fiber(p, t, ordering="lex", critical=None):
     return Fiber(t=complex(t), roots=_sorted_roots(values, ordering), poly=p)
 
 
+def _nearest(old, new):
+    """Index of the nearest new point for each old one; None unless that
+    is a bijection."""
+    n = len(old)
+    assignment = [min(range(n), key=lambda j: abs(new[j] - old[i]))
+                  for i in range(n)]
+    return assignment if len(set(assignment)) == n else None
+
+
 def _match(old, new):
     """Nearest-neighbor matching old->new; None unless a halving bijection."""
     n = len(old)
-    assignment = []
-    for i in range(n):
-        dists = [abs(new[j] - old[i]) for j in range(n)]
-        assignment.append(min(range(n), key=dists.__getitem__))
-    if len(set(assignment)) != n:
+    assignment = _nearest(old, new)
+    if assignment is None:
         return None
     for i in range(n):
         sep = min(abs(old[i] - old[j]) for j in range(n) if j != i)
@@ -200,14 +205,8 @@ def _permutation(fiber_start, fiber_end):
     stored loop permutations in storage order equals the inverse of the
     stored infinity permutation.
     """
-    old = fiber_start.roots
-    new = fiber_end.roots
-    n = len(old)
-    perm = []
-    for i in range(n):
-        dists = [abs(new[j] - old[i]) for j in range(n)]
-        perm.append(min(range(n), key=dists.__getitem__))
-    if len(set(perm)) != n:
+    perm = _nearest(fiber_start.roots, fiber_end.roots)
+    if perm is None:
         raise MatchingAmbiguous("loop endpoints do not match bijectively")
     return tuple(perm)
 
@@ -348,60 +347,33 @@ def _apply_perm(perm, weights):
     return tuple(out)
 
 
-def _int_rank(rows):
-    """Exact rank over Q of integer row vectors (fraction-free elimination)."""
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return 0
-    cols = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(row, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pr = mat[row]
-        for i in range(row + 1, len(mat)):
-            if mat[i][col] == 0:
-                continue
-            a, b = pr[col], mat[i][col]
-            g = math.gcd(a, b)
-            mat[i] = [(a // g) * x - (b // g) * y for x, y in zip(mat[i], pr)]
-        rank += 1
-        row += 1
-        if row == len(mat):
-            break
-    return rank
-
-
 def orbit_rank(f, cycle, rep=None):
-    """Dimension over Q of the span of the monodromy orbit of a cycle."""
+    """Dimension over Q of the span of the monodromy orbit of a cycle.
+
+    That span is the smallest subspace holding the weights that every loop
+    permutation maps into itself (each has finite order, so its inverse
+    does too).  Its basis grows one vector at a time, reduced against the
+    vectors before it, and the images of each new vector are queued, so at
+    most m vectors are ever kept.
+    """
     if rep is None:
         rep = monodromy(f)
     if len(cycle.weights) != len(rep.fiber.roots):
         raise InputError("cycle length must match the fiber size")
-    gens = []
-    for perm in rep.generators():
-        gens.append(perm)
-        gens.append(_inverse(perm))
-    start = tuple(cycle.weights)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        vec = frontier.pop()
-        for perm in gens:
-            nxt = _apply_perm(perm, vec)
-            if nxt not in orbit:
-                if len(orbit) >= ORBIT_CAP:
-                    raise OrbitExplosion("monodromy orbit exceeded the cap")
-                orbit.add(nxt)
-                frontier.append(nxt)
-    return _int_rank(sorted(orbit))
+    basis = []  # (pivot, row with row[pivot] == 1, zero at earlier pivots)
+    queue = [cycle.weights]
+    while queue:
+        vec = [Fraction(v) for v in queue.pop()]
+        for pivot, row in basis:
+            c = vec[pivot]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, row)]
+        pivot = next((i for i, a in enumerate(vec) if a), None)
+        if pivot is not None:
+            row = [a / vec[pivot] for a in vec]
+            basis.append((pivot, row))
+            queue += [_apply_perm(perm, row) for perm in rep.generators()]
+    return len(basis)
 
 
 def circulant_rank(cycle):

@@ -83,6 +83,24 @@ class TestInstanceCommands:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["alien", "--schedule", "1/50,abc"],
+        ["alien", "--schedule", "1/0,1/2,1/3"],
+        ["infinitesimal", "--epsilon", "x"],
+        ["experiment", "--m", "3", "--n", "2", "--epsilon", "1/0"],
+        ["monodromy", "--f", "[0,0,1]", "--basepoint=a,b"],
+        ["monodromy", "--f", "[0,0,1]", "--basepoint=1e400,0"],
+        ["design-g", "--f", "[0,0,1,1]", "--cycle", "[1,2,-3]", "--n", "4",
+         "--targets", "nan"],
+    ], ids=["schedule-word", "schedule-zero-denominator", "epsilon-word",
+            "experiment-zero-denominator", "basepoint-word",
+            "basepoint-overflow", "design-target-nan"])
+    def test_malformed_number_exits_2(self, capsys, paper_instance, argv):
+        if argv[0] in ("alien", "infinitesimal"):
+            argv = argv + ["--instance", paper_instance]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_invalid_cycle_rejected(self, tmp_path, capsys):
         bad = dict(PAPER)
         bad["cycle"] = [1, 1, 1]
@@ -99,6 +117,12 @@ class TestCertify:
         data = json.loads(out)
         assert data["result"]["certificate"]["regular_at_infinity"] is False
         assert data["result"]["certificate"]["failing_permutations"]
+
+    @pytest.mark.parametrize("cycle", ["[1.5,-1.5]", "[true,false,-1]",
+                                       '["1","-1"]'])
+    def test_non_integer_weights_rejected(self, capsys, cycle):
+        # a weight of 1.5 must not be truncated and certified as 1
+        assert main(["certify-cycle", "--cycle", cycle, "--n", "3"]) == 2
 
     def test_regular_certificate(self, capsys):
         code, out = run(capsys, "certify-cycle", "--cycle", "[1,2,-3]", "--n", "4")

@@ -127,6 +127,13 @@ class TestInfinitesimalCount:
         with pytest.raises(InputError):
             count_infinitesimal_zeros(PAPER)
 
+    def test_oracle_rejects_epsilon_outside_perturbative_regime(self):
+        # at eps = 1000 the critical values of f + eps*g have left the
+        # scale of those of f
+        inst = Instance(PAPER.f, PAPER.g, PAPER.cycle, epsilon=Fraction(1000))
+        with pytest.raises(InputError, match="perturbative regime"):
+            build_infinitesimal_oracle(inst)
+
     def test_product_shorter_than_its_bound(self):
         # a criterion-5 (3,3) draw whose product has degree 2 under a
         # declared bound of 4: doubles cannot tell a short fit from a lost

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
@@ -25,6 +26,17 @@ class TestCycle:
             Cycle((1, 1))
         with pytest.raises(InvalidCycle):
             Cycle((0, 0, 0))
+
+    @pytest.mark.parametrize("weights", [(1.5, -1.5), (True, False, -1),
+                                         ("1", "-1"), (1.0, -1.0)])
+    def test_weights_must_be_integers(self, weights):
+        with pytest.raises(InvalidCycle):
+            Cycle(weights)
+
+    def test_integral_weights_become_ints(self):
+        cycle = Cycle(np.array([2, -1, -1]))
+        assert cycle.weights == (2, -1, -1)
+        assert all(type(w) is int for w in cycle.weights)
 
     def test_simple_detection(self):
         assert Cycle((1, -1, 0)).is_simple

@@ -208,23 +208,37 @@ class TestTangentialOracle:
     def test_rejected_zeros_climb_the_whole_ladder(self, monkeypatch):
         # a rung whose zeros fail verification is never accepted; the
         # build fits once per rung, then gives up
-        fits = []
+        inst = Instance(PAPER_F, PAPER_G, PAPER_C)
+        assert _rejected_fits(monkeypatch, inst) == [None, 40, 80, 160, 320]
 
-        def fit_double(*args):
-            fits.append(None)
-            return original_double(*args)
+    def test_sign_symmetric_ladder_starts_at_40_digits(self, monkeypatch):
+        # a sign-symmetric product never accepts a double fit, so it
+        # climbs from 40 digits without making one
+        inst = Instance(PAPER_F, PAPER_G, Cycle((1, -1, 0)))
+        assert _rejected_fits(monkeypatch, inst) == [40, 80, 160, 320]
+        assert _sampler(inst).signed
 
-        def fit_mp(*args):
-            fits.append(args[-1])
-            return original_mp(*args)
 
-        original_double, original_mp = melnikov._fit_double, melnikov._fit_mp
-        monkeypatch.setattr(melnikov, "_fit_double", fit_double)
-        monkeypatch.setattr(melnikov, "_fit_mp", fit_mp)
-        monkeypatch.setattr(melnikov, "_verify_zeros", lambda *args: False)
-        with pytest.raises(FitRejected):
-            build_tangential_oracle(Instance(PAPER_F, PAPER_G, PAPER_C))
-        assert fits == [None, 40, 80, 160, 320]
+def _rejected_fits(monkeypatch, inst):
+    """The precision of each fit a tangential build makes when no rung
+    verifies its zeros (None for doubles)."""
+    fits = []
+
+    def fit_double(*args):
+        fits.append(None)
+        return original_double(*args)
+
+    def fit_mp(*args):
+        fits.append(args[-1])
+        return original_mp(*args)
+
+    original_double, original_mp = melnikov._fit_double, melnikov._fit_mp
+    monkeypatch.setattr(melnikov, "_fit_double", fit_double)
+    monkeypatch.setattr(melnikov, "_fit_mp", fit_mp)
+    monkeypatch.setattr(melnikov, "_verify_zeros", lambda *args: False)
+    with pytest.raises(FitRejected):
+        build_tangential_oracle(inst)
+    return fits
 
 
 # seed-2026 (4,3) tangential trial 0: its product fits at 40 digits
@@ -233,7 +247,7 @@ TRIAL0 = Instance(RatPoly([Fraction(10, 3), -2, 10, Fraction(7, 3), 1]),
 
 
 def _sampler(inst):
-    return _ProductSampler(inst.f, inst.g, inst.cycle.weights,
+    return _ProductSampler(inst.f, inst.g, inst.cycle,
                            tuple(itertools.permutations(range(inst.m))))
 
 

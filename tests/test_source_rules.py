@@ -54,6 +54,29 @@ def test_no_settings_parameter():
     assert not offenders, offenders
 
 
+def test_every_import_is_used():
+    # an imported name that its module never reads is dead code; the names
+    # the benchmark tracer wraps are read where their module binds them,
+    # and the package re-exports what `__all__` lists
+    unused = []
+    for path, tree in _package_trees():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                read |= {elt.value for elt in node.value.elts}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert not unused, unused
+
+
 def test_names_the_benchmark_tracer_reads_exist():
     # the traced benchmark run wraps names where program modules bind them
     # and reads fields of the oracle; parse it without importing, so a

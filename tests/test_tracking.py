@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cycle_integrals.cycles import Cycle
 from cycle_integrals.errors import InputError, NearCriticalValue
 from cycle_integrals.poly import RatPoly, critical_values
-from cycle_integrals.tracking import (circulant_rank, loop_waypoints,
-                                      monodromy, orbit_rank, solve_fiber,
-                                      track_path, exclusion_radius)
+from cycle_integrals.tracking import (Fiber, MonodromyRep, circulant_rank,
+                                      loop_waypoints, monodromy, orbit_rank,
+                                      solve_fiber, track_path, exclusion_radius)
 from cycle_integrals.config import DEFAULT
 
 
@@ -165,6 +166,28 @@ class TestRanks:
         assert orbit_rank(f, Cycle((1, -1, 0, 0)), rep=rep) == 3
         assert orbit_rank(f, Cycle((0, 1, -1, 0)), rep=rep) == 2
 
+    def test_rank_of_a_large_orbit(self):
+        # (0 1) and the 9-cycle generate S_9, whose orbit of these weights
+        # has 9! vectors; its span is the whole sum-zero hyperplane
+        transposition = (1, 0) + tuple(range(2, 9))
+        rotation = tuple((i + 1) % 9 for i in range(9))
+        weights = tuple(range(1, 9)) + (-36,)
+        rep = _rep([transposition, rotation])
+        assert orbit_rank(None, Cycle(weights), rep=rep) == 8
+
+    def test_rank_matches_orbit_enumeration(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            m = rng.randint(2, 7)
+            gens = [tuple(rng.sample(range(m), m))
+                    for _ in range(rng.randint(1, 3))]
+            head = [rng.choice([0, 0, 1, -1, 2]) for _ in range(m - 1)]
+            weights = tuple(head) + (-sum(head),)
+            if not any(weights):
+                continue
+            assert (orbit_rank(None, Cycle(weights), rep=_rep(gens))
+                    == _orbit_rank_by_enumeration(gens, weights))
+
     def test_orbit_dominates_circulant(self):
         rng = random.Random(4)
         checked = 0
@@ -185,3 +208,29 @@ class TestRanks:
             c = Cycle(w)
             assert orbit_rank(f, c, rep=rep) >= circulant_rank(c)
             checked += 1
+
+
+def _rep(perms):
+    """A monodromy representation with the given loop permutations."""
+    m = len(perms[0])
+    fiber = Fiber(t=0j, roots=tuple(complex(i) for i in range(m)), poly=None)
+    return MonodromyRep(basepoint=0j, fiber=fiber,
+                        loops=tuple((complex(k), p) for k, p in enumerate(perms)),
+                        infinity_permutation=tuple(range(m)), ordering="lex")
+
+
+def _orbit_rank_by_enumeration(gens, weights):
+    """Rank of the matrix of every vector in the orbit of the weights."""
+    orbit = {weights}
+    frontier = [weights]
+    while frontier:
+        vec = frontier.pop()
+        for perm in gens:
+            image = [0] * len(vec)
+            for i, w in enumerate(vec):
+                image[perm[i]] = w
+            image = tuple(image)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return np.linalg.matrix_rank(np.array(sorted(orbit), dtype=float))
