@@ -289,23 +289,31 @@ def _plot_rows(report):
     result = report.get("result")
     if not isinstance(result, dict):
         raise MalformedReport("report has no result object")
-    if command in ("tangential", "infinitesimal"):
-        rows = [(float(z["t"][0]), float(z["t"][1]), z["multiplicity"], "regular")
-                for z in result.get("distinct_regular_zeros", [])]
-        rows += [(float(t[0]), float(t[1]), 0, "excluded")
-                 for t in result.get("excluded_near_critical", [])]
-        return ["re_t", "im_t", "multiplicity", "class"], rows
-    if command == "alien":
-        header = ["branch", "epsilon", "re_t", "im_t", "class"]
-        rows = []
-        for idx, branch in enumerate(result.get("branches", [])):
-            eps = report["result"]["epsilon_schedule"]
-            traj = branch["trajectory"]
-            offset = len(eps) - len(traj)
-            for k, point in enumerate(traj):
-                rows.append((idx, eps[offset + k], float(point[0]),
-                             float(point[1]), branch["class"]))
-        return header, rows
+    try:
+        if command in ("tangential", "infinitesimal"):
+            rows = [(float(z["t"][0]), float(z["t"][1]), z["multiplicity"],
+                     "regular")
+                    for z in result.get("distinct_regular_zeros", [])]
+            rows += [(float(t[0]), float(t[1]), 0, "excluded")
+                     for t in result.get("excluded_near_critical", [])]
+            return ["re_t", "im_t", "multiplicity", "class"], rows
+        if command == "alien":
+            header = ["branch", "epsilon", "re_t", "im_t", "class"]
+            rows = []
+            for idx, branch in enumerate(result.get("branches", [])):
+                eps = result["epsilon_schedule"]
+                traj = branch["trajectory"]
+                # a trajectory is aligned at the smallest epsilon
+                offset = len(eps) - len(traj)
+                if offset < 0:
+                    raise MalformedReport(
+                        f"branch {idx} trajectory is longer than the schedule")
+                for k, point in enumerate(traj):
+                    rows.append((idx, eps[offset + k], float(point[0]),
+                                 float(point[1]), branch["class"]))
+            return header, rows
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise MalformedReport(f"malformed {command} report: {exc!r}") from exc
     raise MalformedReport(f"no plot data for command {command!r}")
 
 

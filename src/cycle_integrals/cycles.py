@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT
 from .errors import (DomainError, FiberTooLarge, GenericCycleNotFound,
-                     InvalidCycle, NonIntegerBound)
+                     InvalidCycle)
 from .poly import RatPoly
 
 
@@ -183,14 +183,14 @@ def bound_infinitesimal(m, n):
 
 
 def bound_simple(m, n):
-    """Sharp zero count on simple cycles: ((n-1)(m-1) - (d-1))/2, d = gcd."""
+    """Sharp zero count on simple cycles: ((n-1)(m-1) - (d-1))/2, d = gcd.
+
+    The numerator is even: when m or n is odd, d is odd and (n-1)(m-1) is
+    even; when both are even, d is even and (n-1)(m-1) is odd."""
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and n >= 1")
     d = math.gcd(m, n)
-    num = (n - 1) * (m - 1) - (d - 1)
-    if num % 2 != 0:
-        raise NonIntegerBound(f"simple-cycle bound not integral at ({m}, {n})")
-    return num // 2
+    return ((n - 1) * (m - 1) - (d - 1)) // 2
 
 
 def random_generic_cycle(m, n, rng_seed):

@@ -48,10 +48,6 @@ class DomainError(InputError):
     pass
 
 
-class NonIntegerBound(CycleIntegralsError):
-    """The simple-cycle bound formula produced a non-integer (a bug)."""
-
-
 class GenericCycleNotFound(InputError):
     """Rejection sampling exhausted its retry budget."""
 
@@ -81,7 +77,10 @@ class IdentityViolation(NumericalError):
 
 
 class FitRejected(NumericalError):
-    """Oracle fit residual stayed above tolerance at every precision tried."""
+    """No rung of the precision ladder gave an acceptable oracle fit: the
+    residual stayed above tolerance, a double fit fell short of the declared
+    degree, a zero failed the ring test, or a sign-symmetric product kept a
+    regular zero cluster of odd size."""
 
 
 class SingularDesignSystem(NumericalError):

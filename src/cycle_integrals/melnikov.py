@@ -17,7 +17,9 @@ or of even multiplicity when a sign symmetry of the cycle pairs each factor
 F with -F.  Zeros far outside the circle make the top coefficients small;
 the circle stays, and the build climbs one fixed precision ladder
 (doubles, then 40, 80, 160 and 320 digits) until the fit resolves them;
-a sign-symmetric product starts at 40 digits.  A rung is accepted when
+a sign-symmetric product starts at 40 digits.  Every rung runs the same
+fit: only the fiber solve, the factor evaluation, the logarithms, the DFT
+and the noise floors depend on the precision.  A rung is accepted when
 every extracted zero passes the ring test against the branches and, for
 a sign-symmetric product, every regular zero cluster has even size; this
 module alone decides zero multiplicities.  A double-precision fit is
@@ -177,8 +179,8 @@ _DPS_LADDER = (None, 40, 80, 160, 320)
 
 
 class _ProductSampler:
-    """Evaluates the product of the distinct branch factors at double or
-    extended precision.
+    """Evaluates the product of the distinct branch factors in doubles or
+    at ``dps`` digits.
 
     The factor of an assignment phi is sum_j w_j h(z_phi(j)), so it depends
     only on the set of (weight, fiber index) pairs on the support of the
@@ -187,15 +189,14 @@ class _ProductSampler:
     assignments is the product sampled here to that power.  ``signed`` says
     whether the factors come in pairs F, -F: a permutation of the cycle maps
     its weights to their negatives, which gives every zero of the product
-    even multiplicity.
+    even multiplicity.  ``fiber`` and ``factors`` work in doubles when
+    ``dps`` is None and at ``dps`` digits otherwise.
     """
 
     def __init__(self, p, integrand, cycle, assignments):
         self.p = p
         self.integrand = integrand
         weights = cycle.weights
-        self.pc = p.to_complex()
-        self.ic = integrand.to_complex()
         support = [j for j, w in enumerate(weights) if w]
         patterns = {}
         for phi in assignments:
@@ -205,49 +206,47 @@ class _ProductSampler:
         self.power = len(assignments) // len(self.patterns)
         self.signed = any(sign < 0 for _, sign in symmetry_group(cycle).elements)
         self.index = np.array(self.patterns, dtype=np.intp)
-        self.wvec = np.array([complex(weights[j]) for j in support])
+        self.weights = tuple(weights[j] for j in support)
+        self.wvec = np.array(self.weights, dtype=complex)
         self.wabs = float(sum(abs(w) for w in weights))
-        self._mp_cache = {}
+        self._cache = {}
 
-    def factors_d(self, roots):
-        vals = self.ic.evaluate(np.asarray(roots, dtype=complex))
-        return vals[self.index] @ self.wvec, float(np.max(np.abs(vals)))
-
-    def fiber_d(self, t, init=None):
-        return roots_raw(self.pc.minus(t).coeffs, init=init)
-
-    def _mp_coeffs(self, poly, dps):
+    def _coeffs(self, poly, dps):
+        """Coefficients of ``poly`` at precision ``dps``, cached."""
         key = (id(poly), dps)
-        if key not in self._mp_cache:
-            with mp.workdps(dps):
-                self._mp_cache[key] = [
-                    mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                    for c in poly.coeffs]
-        return self._mp_cache[key]
+        if key not in self._cache:
+            if dps is None:
+                self._cache[key] = poly.to_complex().coeffs
+            else:
+                with mp.workdps(dps):
+                    self._cache[key] = tuple(
+                        mp.mpf(c.numerator) / mp.mpf(c.denominator)
+                        for c in poly.coeffs)
+        return self._cache[key]
 
-    def fiber_mp(self, t, dps, init=None):
-        coeffs = list(self._mp_coeffs(self.p, dps))
+    def fiber(self, t, dps, init=None):
+        """The roots of p - t at precision ``dps``."""
+        c = self._coeffs(self.p, dps)
+        if dps is None:
+            return roots_raw((c[0] - t,) + c[1:], init=init)
         with mp.workdps(dps):
-            coeffs[0] = coeffs[0] - t
-        return aberth_mp(coeffs, dps, init=init)
+            return aberth_mp((c[0] - t,) + c[1:], dps, init=init)
 
-    def factors_mp(self, roots, dps):
-        icoeffs = self._mp_coeffs(self.integrand, dps)
+    def factors(self, roots, dps):
+        """The distinct branch factors on a fiber and max |integrand|."""
+        c = self._coeffs(self.integrand, dps)
+        if dps is None:
+            vals = ComplexPoly(c).evaluate(np.asarray(roots, dtype=complex))
+            return vals[self.index] @ self.wvec, float(np.max(np.abs(vals)))
         with mp.workdps(dps):
-            vals = [horner_mp(icoeffs, z) for z in roots]
-            vmax = max(abs(v) for v in vals)
-            factors = []
-            for pattern in self.patterns:
-                acc = mp.mpc(0)
-                for w, idx in zip(self.wvec, pattern):
-                    acc += complex(w) * vals[idx]
-                factors.append(acc)
-            return factors, vmax
+            vals = [horner_mp(c, z) for z in roots]
+            factors = [sum(w * vals[i] for w, i in zip(self.weights, pattern))
+                       for pattern in self.patterns]
+            return np.array(factors, dtype=object), max(abs(v) for v in vals)
 
     def log_abs_d(self, t):
         """log |N(t)| up to the constant prescale (-inf at exact zeros)."""
-        roots = self.fiber_d(t)
-        factors, _ = self.factors_d(roots)
+        factors, _ = self.factors(self.fiber(t, None), None)
         absf = np.abs(factors)
         if np.any(absf == 0.0):
             return -math.inf
@@ -272,8 +271,9 @@ class _ProductSampler:
         return math.exp(min(700.0, center - edge))
 
 
-def _fit_double(sampler, degree_bound, radius):
-    """Samples of the prescaled product on the circle and their DFT.
+def _fit(sampler, degree_bound, radius, dps):
+    """Samples of the prescaled product on the circle and their DFT, in
+    doubles when ``dps`` is None and at ``dps`` digits otherwise.
 
     f, g and the weights are real, so the fiber over conj(t) is the
     conjugate of the fiber over t and the product N has real coefficients:
@@ -281,75 +281,50 @@ def _fit_double(sampler, degree_bound, radius):
     solved and evaluated; the other samples are the exact conjugates of
     their mirrors.  The prescale is taken at the real point t = radius, so
     it is real, and the identically-zero test sees every factor modulus.
+    Returns the coefficients up to ``degree_bound``, the largest sample
+    modulus and the DFT tail relative to it, or (None, None, 0.0) when the
+    product is identically zero.
     """
     k_count = DEFAULT.samples_factor * (degree_bound + 1)
-    samples = np.zeros(k_count, dtype=complex)
-    # a branch vanishing to noise at every sample means the product is
-    # identically zero (a nonzero polynomial of degree <= D cannot be tiny
-    # at all K > D samples)
-    factor_zero_tol = 100.0 * DEFAULT.identically_zero
-    all_zero = True
-    log_prescale = None
-    prev = None
-    for k in range(k_count // 2 + 1):
-        t = radius * cmath.exp(2j * cmath.pi * k / k_count)
-        roots = sampler.fiber_d(t, init=prev)
-        prev = roots
-        factors, vmax = sampler.factors_d(roots)
-        absf = np.abs(factors) + 1e-300
-        scale = sampler.wabs * vmax + 1e-300
-        if float(np.min(absf)) > factor_zero_tol * scale:
-            all_zero = False
-        if log_prescale is None:
-            log_prescale = float(np.mean(np.log(absf)))
-        samples[k] = np.prod(factors * np.exp(-log_prescale))
-    if all_zero:
-        return None, None, 0.0
-    lower = np.arange(k_count // 2 + 1, k_count)
-    samples[lower] = np.conj(samples[k_count - lower])
-    max_abs = float(np.max(np.abs(samples)))
-    coeffs = np.fft.fft(samples) / k_count
-    tail = float(np.max(np.abs(coeffs[degree_bound + 1:]))) if degree_bound + 1 < k_count else 0.0
-    residual = tail / max_abs
-    return coeffs[:degree_bound + 1], max_abs, residual
-
-
-def _fit_mp(sampler, degree_bound, radius, dps):
-    """`_fit_double` at ``dps`` digits: the upper half circle is solved and
-    the lower half is its exact conjugate."""
-    k_count = DEFAULT.samples_factor * (degree_bound + 1)
-    with mp.workdps(dps):
-        samples = []
-        factor_zero_tol = mp.mpf(10) ** (-(dps - 8))
+    upper = range(k_count // 2 + 1)
+    with mp.workdps(dps or 15):
+        # a branch vanishing to noise at every sample means the product is
+        # identically zero (a nonzero polynomial of degree <= D cannot be
+        # tiny at all K > D samples); ``tiny`` keeps every modulus positive
+        if dps is None:
+            zero_tol, tiny = 100.0 * DEFAULT.identically_zero, 1e-300
+            circle = [radius * cmath.exp(2j * cmath.pi * k / k_count)
+                      for k in upper]
+        else:
+            zero_tol, tiny = mp.mpf(10) ** (8 - dps), mp.mpf(10) ** (-3 * dps)
+            circle = [radius * mp.expjpi(mp.mpf(2 * k) / k_count)
+                      for k in upper]
         all_zero = True
-        log_prescale = None
-        prev = None
-        tiny = mp.mpf(10) ** (-3 * dps)
-        for k in range(k_count // 2 + 1):
-            t = radius * mp.expjpi(mp.mpf(2 * k) / k_count)
-            roots = sampler.fiber_mp(t, dps, init=prev)
-            prev = roots
-            factors, vmax = sampler.factors_mp(roots, dps)
-            scale = sampler.wabs * vmax + tiny
-            if min(abs(v) for v in factors) > factor_zero_tol * scale:
+        rescale = roots = None
+        samples = []
+        for t in circle:
+            roots = sampler.fiber(t, dps, init=roots)
+            factors, vmax = sampler.factors(roots, dps)
+            absf = np.abs(factors) + tiny
+            if np.min(absf) > zero_tol * (sampler.wabs * vmax + tiny):
                 all_zero = False
-            if log_prescale is None:
-                log_prescale = sum(mp.log(abs(v) + tiny)
-                                   for v in factors) / len(factors)
-            rescale = mp.exp(-log_prescale)
-            value = mp.mpc(1)
-            for v in factors:
-                value *= v * rescale
-            samples.append(value)
+            if rescale is None:
+                # the real prescale at t = radius: one over the geometric
+                # mean of the factor moduli there
+                rescale = (np.exp(-float(np.mean(np.log(absf)))) if dps is None
+                           else mp.exp(-(sum(mp.log(a) for a in absf)
+                                         / len(absf))))
+            samples.append(np.prod(factors * rescale))
         if all_zero:
             return None, None, 0.0
-        samples += [mp.conj(samples[k_count - k])
-                    for k in range(k_count // 2 + 1, k_count)]
-        max_abs = max(abs(s) for s in samples)
-        coeffs = dft_fit_mp(samples, dps)
-        tail = max(abs(c) for c in coeffs[degree_bound + 1:]) if degree_bound + 1 < k_count else mp.mpf(0)
-        residual = float(tail / max_abs)
-        return coeffs[:degree_bound + 1], max_abs, residual
+        samples += [samples[k_count - k].conjugate()
+                    for k in range(len(upper), k_count)]
+        max_abs = np.max(np.abs(samples))
+        coeffs = (np.fft.fft(samples) / k_count if dps is None
+                  else dft_fit_mp(samples, dps))
+        tail = (np.max(np.abs(coeffs[degree_bound + 1:]))
+                if degree_bound + 1 < k_count else 0.0)
+        return coeffs[:degree_bound + 1], max_abs, float(tail / max_abs)
 
 
 def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
@@ -361,12 +336,10 @@ def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
     """
     floor = 1e-13 if dps is None else mp.mpf(10) ** (3 - dps)
     thresh = max(10.0 * tail_abs, floor * max_abs)
-    deg = 0
-    for d in range(len(coeffs) - 1, -1, -1):
+    for d in range(len(coeffs) - 1, 0, -1):
         if abs(coeffs[d]) > thresh:
-            deg = d
-            break
-    return deg
+            return d
+    return 0
 
 
 def _verify_zeros(sampler, zeros):
@@ -409,13 +382,12 @@ def _split_regular(clusters, crit_values):
 
 
 def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
-    """Sample on one circle, fit, extract, ring-verify and group the zeros
-    at increasing precision.
+    """Fit the product once per rung of the precision ladder, then
+    extract, ring-verify and group the zeros of the fit.
 
-    Fibers are solved and factors evaluated on the upper half circle only:
-    f, g and the weights are real, so the samples on the lower half are the
-    exact conjugates of their mirrors.  The DFT, residual and fitted degree
-    use all the samples, and the ring test still verifies every zero.
+    Each rung calls `_fit` at its precision.  The zeros of the fitted
+    polynomial come from ``np.roots`` in doubles and from ``aberth_mp``
+    at 40 digits or more; the ring test verifies every zero in doubles.
 
     The circle stays fixed: the DFT recovers the coefficients of the
     product exactly wherever its zeros lie, and zeros far outside the
@@ -437,10 +409,7 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
     last_residual = None
     tol = lambda z: DEFAULT.cluster_scale * (base_scale + abs(z))
     for dps in _DPS_LADDER[1:] if sampler.signed else _DPS_LADDER:
-        if dps is None:
-            coeffs, max_abs, residual = _fit_double(sampler, degree_bound, radius)
-        else:
-            coeffs, max_abs, residual = _fit_mp(sampler, degree_bound, radius, dps)
+        coeffs, max_abs, residual = _fit(sampler, degree_bound, radius, dps)
         if coeffs is None:
             return OraclePoly(kind, (), radius, degree_bound, 0, 0.0, True, dps,
                               (), (), ())
@@ -452,18 +421,15 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
             fitted = _fitted_degree(coeffs, tail_abs, max_abs, dps)
             if dps is None and fitted < degree_bound:
                 continue
-            if fitted == 0:
-                zeros = ()
-            elif dps is None:
+            if dps is None:
                 u_roots = np.roots(np.array(coeffs[fitted::-1], dtype=complex))
-                zeros = tuple(complex(radius * u) for u in u_roots)
             else:
                 # roots only need ~1e-12 relative accuracy downstream and
                 # a double root converges linearly, so cap the demand but
                 # let it grow with the working precision
                 tol_exp = max(32, (dps - 4) // 2)
                 u_roots = aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp)
-                zeros = tuple(complex(radius * u) for u in u_roots)
+            zeros = tuple(complex(radius * u) for u in u_roots)
         if not _verify_zeros(sampler, zeros):
             continue
         regular, excluded = _split_regular(cluster_points(zeros, tol),

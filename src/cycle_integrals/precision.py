@@ -1,11 +1,12 @@
-"""mpmath twins of the numeric kernels.
+"""Root solve, Horner evaluation and DFT at ``dps`` digits for the oracle fit.
 
-Used by the oracle builder when double precision cannot separate the
-coefficient scales (singular perturbations spread the zeros of the
-infinitesimal oracle over many orders of magnitude).  Every function takes
-an explicit ``dps`` so results are deterministic.  A cold-start root solve
-begins from the companion-matrix roots of the coefficients rounded to
-doubles, so the mpmath iteration only polishes them.
+The one fit of the oracle builder calls them on the rungs above doubles,
+where double precision cannot separate the coefficient scales (singular
+perturbations spread the zeros of the infinitesimal oracle over many
+orders of magnitude).  Every function takes an explicit ``dps`` so results
+are deterministic.  A cold-start root solve begins from the
+companion-matrix roots of the coefficients rounded to doubles, so the
+mpmath iteration only polishes them.
 """
 
 import mpmath as mp

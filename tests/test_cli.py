@@ -215,6 +215,27 @@ class TestPlotData:
         code, _ = run(capsys, "plot-data", "--report", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("report", [
+        pytest.param({"command": "alien",
+                      "result": {"branches": [{"class": "alien"}]}},
+                     id="alien-without-schedule"),
+        pytest.param({"command": "tangential",
+                      "result": {"distinct_regular_zeros": [
+                          {"t": ["x", "0"], "multiplicity": 1}]}},
+                     id="zero-not-a-number"),
+        pytest.param({"command": "alien",
+                      "result": {"epsilon_schedule": ["1/100"],
+                                 "branches": [{"class": "alien",
+                                               "trajectory": [["1.0", "0.0"],
+                                                              ["2.0", "0.0"]]}]}},
+                     id="trajectory-longer-than-schedule"),
+    ])
+    def test_malformed_report_fields(self, capsys, tmp_path, report):
+        path = tmp_path / "junk.json"
+        path.write_text(json.dumps(report))
+        code, _ = run(capsys, "plot-data", "--report", str(path))
+        assert code == 2
+
 
 class TestDeterminism:
     def test_bit_identical_reports(self, capsys, paper_instance, tmp_path):

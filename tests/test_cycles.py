@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ class TestBounds:
         assert bound_simple(3, 4) == 3
         assert bound_simple(4, 6) == 7
         assert bound_simple(2, 5) == 2 == bound_tangential(2, 5)
+
+    def test_simple_is_the_exact_formula(self):
+        # the numerator is even for every parity of m and n
+        for m in range(2, 9):
+            for n in range(1, 41):
+                exact = Fraction((n - 1) * (m - 1) - (math.gcd(m, n) - 1), 2)
+                assert exact.denominator == 1
+                assert bound_simple(m, n) == exact
 
     def test_first_order_below_full_table(self):
         for m in range(2, 7):

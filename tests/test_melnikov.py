@@ -13,8 +13,8 @@ from cycle_integrals.errors import (FitRejected, IdentityViolation,
 import mpmath as mp
 
 from cycle_integrals import melnikov
-from cycle_integrals.melnikov import (Instance, _fit_double, _fit_mp,
-                                      _fitted_degree, _ProductSampler,
+from cycle_integrals.melnikov import (Instance, _fit, _fitted_degree,
+                                      _ProductSampler,
                                       abelian_integral,
                                       brieskorn_dimension, brieskorn_generators,
                                       build_infinitesimal_oracle,
@@ -205,6 +205,20 @@ class TestTangentialOracle:
         assert _fitted_degree(coeffs, 1e-38, 1, dps=40) == 2
         assert _fitted_degree(coeffs, 1e-38, 1) == 1
 
+    def test_fit_agrees_across_precisions(self):
+        # one fit at every rung: doubles and 40 digits give the same
+        # coefficients, each normalised by its largest
+        inst = Instance(PAPER_F, PAPER_G, PAPER_C)
+        oracle = build_tangential_oracle(inst)
+        sampler = _sampler(inst)
+        fits = []
+        for dps in (None, 40):
+            coeffs, _, _ = _fit(sampler, oracle.declared_degree_bound,
+                                oracle.radius, dps)
+            coeffs = np.array([complex(c) for c in coeffs])
+            fits.append(coeffs / np.max(np.abs(coeffs)))
+        assert np.max(np.abs(fits[0] - fits[1])) <= 1e-10
+
     def test_rejected_zeros_climb_the_whole_ladder(self, monkeypatch):
         # a rung whose zeros fail verification is never accepted; the
         # build fits once per rung, then gives up
@@ -224,17 +238,12 @@ def _rejected_fits(monkeypatch, inst):
     verifies its zeros (None for doubles)."""
     fits = []
 
-    def fit_double(*args):
-        fits.append(None)
-        return original_double(*args)
-
-    def fit_mp(*args):
+    def fit(*args):
         fits.append(args[-1])
-        return original_mp(*args)
+        return original(*args)
 
-    original_double, original_mp = melnikov._fit_double, melnikov._fit_mp
-    monkeypatch.setattr(melnikov, "_fit_double", fit_double)
-    monkeypatch.setattr(melnikov, "_fit_mp", fit_mp)
+    original = melnikov._fit
+    monkeypatch.setattr(melnikov, "_fit", fit)
     monkeypatch.setattr(melnikov, "_verify_zeros", lambda *args: False)
     with pytest.raises(FitRejected):
         build_tangential_oracle(inst)
@@ -270,9 +279,8 @@ class TestHalfCircleSampling:
     def test_double_fit_solves_upper_half(self, monkeypatch):
         inst = Instance(PAPER_F, PAPER_G, PAPER_C)
         oracle = build_tangential_oracle(inst)
-        calls = _count_calls(monkeypatch, "fiber_d")
-        _fit_double(_sampler(inst), oracle.declared_degree_bound,
-                    oracle.radius)
+        calls = _count_calls(monkeypatch, "fiber")
+        _fit(_sampler(inst), oracle.declared_degree_bound, oracle.radius, None)
         k_count = DEFAULT.samples_factor * (oracle.declared_degree_bound + 1)
         assert len(calls) == k_count // 2 + 1
         assert all(t.imag >= 0 for t in calls)
@@ -280,9 +288,8 @@ class TestHalfCircleSampling:
     def test_mp_fit_solves_upper_half(self, monkeypatch):
         oracle = build_tangential_oracle(TRIAL0)
         assert oracle.precision_dps == 40
-        calls = _count_calls(monkeypatch, "fiber_mp")
-        _fit_mp(_sampler(TRIAL0), oracle.declared_degree_bound, oracle.radius,
-                40)
+        calls = _count_calls(monkeypatch, "fiber")
+        _fit(_sampler(TRIAL0), oracle.declared_degree_bound, oracle.radius, 40)
         k_count = DEFAULT.samples_factor * (oracle.declared_degree_bound + 1)
         assert len(calls) == k_count // 2 + 1
 
@@ -297,13 +304,10 @@ class TestHalfCircleSampling:
         sampler = _sampler(inst)
 
         def sample(turns):
-            if dps is None:
-                t = radius * complex(mp.expjpi(turns))
-                factors, _ = sampler.factors_d(sampler.fiber_d(t))
-                return complex(np.prod(factors))
-            t = radius * mp.expjpi(turns)
-            factors, _ = sampler.factors_mp(sampler.fiber_mp(t, dps), dps)
-            return mp.fprod(factors)
+            turn = mp.expjpi(turns)
+            t = radius * (complex(turn) if dps is None else turn)
+            factors, _ = sampler.factors(sampler.fiber(t, dps), dps)
+            return complex(np.prod(factors)) if dps is None else mp.fprod(factors)
 
         with mp.workdps(dps or 15):
             for q in (1, 2, 3):

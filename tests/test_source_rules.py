@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import cycle_integrals
@@ -52,6 +53,21 @@ def test_no_settings_parameter():
                 if any(p.arg == "settings" for p in params):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_no_precision_twins():
+    # one code path serves every precision: no module defines two
+    # functions or methods whose names differ only by a precision suffix
+    twins = []
+    for path, tree in _package_trees():
+        stems = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stem = re.sub(r"_(d|mp|double)$", "", node.name)
+                stems.setdefault(stem, set()).add(node.name)
+        twins += [f"{path.name}: {sorted(names)}"
+                  for names in stems.values() if len(names) > 1]
+    assert not twins, twins
 
 
 def test_every_import_is_used():
