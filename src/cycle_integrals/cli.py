@@ -19,7 +19,7 @@ from .config import DEFAULT
 from .counting import (classify_alien, count_infinitesimal_zeros,
                        count_tangential_zeros, run_sharpness_experiment)
 from .cycles import (Cycle, bound_infinitesimal, bound_simple, bound_tangential,
-                     is_asymmetric, regular_at_infinity, symmetry_group)
+                     regular_at_infinity, symmetry_group)
 from .errors import InputError, MalformedReport, NumericalError
 from .melnikov import (brieskorn_dimension, brieskorn_generators,
                        design_g_with_zeros, reduce_deformation)
@@ -149,9 +149,11 @@ def _parse_complex_list(text):
 
 
 def _parse_basepoint(text):
-    re, im = (text.split(",") + ["0"])[:2]
+    parts = text.split(",")
     try:
-        point = complex(float(re), float(im))
+        if len(parts) > 2:
+            raise ValueError(f"{len(parts)} parts")
+        point = complex(*map(float, parts))
     except ValueError as exc:
         raise InputError(f"bad --basepoint {text!r}: expected 're,im'") from exc
     if not cmath.isfinite(point):
@@ -215,7 +217,7 @@ def _cmd_certify(args):
                "result": {"certificate": cert.as_dict(),
                           "symmetry_order": group.order,
                           "is_simple": cycle.is_simple,
-                          "is_asymmetric": is_asymmetric(cycle)}}
+                          "is_asymmetric": group.order == 1}}
     return _emit(args, payload, args.seed or 0)
 
 

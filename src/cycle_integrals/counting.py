@@ -26,12 +26,12 @@ from numpy.polynomial import polynomial as npoly
 from .config import DEFAULT
 from .cycles import (bound_infinitesimal, bound_tangential, random_generic_cycle,
                      random_simple_cycle, regular_at_infinity, symmetry_group)
-from .errors import (BranchMatchingAmbiguous, IdenticallyZeroIntegral,
-                     InputError, CycleIntegralsError, NumericalError)
+from .errors import (BranchMatchingAmbiguous, CycleIntegralsError, InputError,
+                     NumericalError)
 from .melnikov import (Instance, brieskorn_dimension, build_infinitesimal_oracle,
                        build_tangential_oracle, reduce_deformation)
 from .poly import RatPoly, critical_values, roots_raw
-from .tracking import _match, critical_exclusion
+from .tracking import critical_exclusion, halving_match
 
 
 @dataclass(frozen=True)
@@ -115,25 +115,14 @@ class AlienReport:
         }
 
 
-def _effective_tangential_degree(inst):
-    if inst.n % inst.m != 0:
-        return inst.n
-    g_tilde, _ = reduce_deformation(inst.f, inst.g)
-    return g_tilde.degree if not g_tilde.is_zero else 0
-
-
 def count_tangential_zeros(inst):
     """Distinct regular zeros of the first-order integral on all branches."""
     if inst.epsilon not in (None, 0):
         raise InputError("tangential counting runs without epsilon")
     oracle = build_tangential_oracle(inst)
-    if oracle.identically_zero:
-        raise IdenticallyZeroIntegral(
-            "the integral vanishes identically on the cycle (tangential center)")
-    n_eff = _effective_tangential_degree(inst)
-    cert = regular_at_infinity(inst.cycle, n_eff) if n_eff else None
+    n_cert = _certificate_degree("tangential", inst.m, inst.n, inst.f, inst.g)
     return _zero_report(inst, oracle, bound_tangential(inst.m, inst.n),
-                        cert.as_dict() if cert is not None else None)
+                        regular_at_infinity(inst.cycle, n_cert).as_dict())
 
 
 def count_infinitesimal_zeros(inst):
@@ -141,9 +130,6 @@ def count_infinitesimal_zeros(inst):
     if inst.epsilon in (None, 0):
         raise InputError("infinitesimal counting requires a nonzero epsilon")
     oracle = build_infinitesimal_oracle(inst)
-    if oracle.identically_zero:
-        raise IdenticallyZeroIntegral(
-            "the displacement vanishes identically on the deformed cycle")
     return _zero_report(inst, oracle, bound_infinitesimal(inst.m, inst.n), None)
 
 
@@ -224,7 +210,7 @@ class _Branch:
                 new = self._fiber(t, eps, init=roots)
             except NumericalError:
                 return None
-            order = _match(roots, new)
+            order = halving_match(roots, new)
             if order is None:
                 return None
             roots = new[order]
@@ -322,7 +308,7 @@ def classify_alien(inst, schedule):
 
     f and g are in Q[x] and the weights are integers, so the fiber over
     conj(t) at a real epsilon is the conjugate of the fiber over t, and
-    `_match` and the Newton contraction test look only at moduli: the
+    `halving_match` and the Newton contraction test look only at moduli: the
     branch of a conjugate seed is the exact conjugate of the branch of
     its partner.  The seeds are taken in `lex_sorted` order, and a
     non-real seed whose conjugate already has a continued branch gets
@@ -393,8 +379,8 @@ def _random_rational(rng, bound=12):
 
 
 # `_unused` is never read; perfbench/regen_literals.py and the tests pass DEFAULT
-def _random_morse_poly(rng, m, _unused=None, tries=60):
-    for _ in range(tries):
+def _random_morse_poly(rng, m, _unused=None):
+    for _ in range(60):
         coeffs = [_random_rational(rng) for _ in range(m)] + [Fraction(1)]
         f = RatPoly(coeffs)
         if f.degree != m:
@@ -454,6 +440,8 @@ def run_sharpness_experiment(m, n, kind, trials, seed, cycle_mode="generic",
     """
     if kind not in ("tangential", "infinitesimal"):
         raise InputError(f"unknown experiment kind {kind!r}")
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
     effective_mode = "simple" if (cycle_mode == "simple" or m == 2) else "generic"
     counts = []
     failures = []

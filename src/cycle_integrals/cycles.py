@@ -65,16 +65,14 @@ class SymmetryGroup:
 
 @dataclass(frozen=True)
 class GenericityCertificate:
-    is_simple: bool
-    is_asymmetric: bool
+    """Regularity at infinity of a cycle for deformation degree n_tested."""
+
     regular_at_infinity: bool
     failing_permutations: tuple  # 1-based Stab_m permutations violating the test
     n_tested: int
 
     def as_dict(self):
         return {
-            "is_simple": self.is_simple,
-            "is_asymmetric": self.is_asymmetric,
             "regular_at_infinity": self.regular_at_infinity,
             "failing_permutations": [list(p) for p in self.failing_permutations],
             "n_tested": self.n_tested,
@@ -140,8 +138,7 @@ def regular_at_infinity(cycle, n):
             coeffs[(n * alpha[j]) % m] += w[j]
         if (RatPoly(coeffs) % phi).is_zero:
             failing.append(alpha)
-    return GenericityCertificate(cycle.is_simple, is_asymmetric(cycle),
-                                 not failing, tuple(failing), n)
+    return GenericityCertificate(not failing, tuple(failing), n)
 
 
 def infinity_point_count(m, n):

@@ -87,10 +87,12 @@ class SingularDesignSystem(NumericalError):
     """Design targets made the interpolation system singular."""
 
 
-# -- counting --------------------------------------------------------------
-
 class IdenticallyZeroIntegral(InputError):
-    """The abelian integral vanishes identically; the count is undefined."""
+    """The oracle's branch product vanishes identically (g reduces to zero,
+    or a factor vanishes at every sample); the count is undefined."""
+
+
+# -- counting --------------------------------------------------------------
 
 
 class BranchMatchingAmbiguous(NumericalError):

@@ -24,7 +24,8 @@ every extracted zero passes the ring test against the branches and, for
 a sign-symmetric product, every regular zero cluster has even size; this
 module alone decides zero multiplicities.  A double-precision fit is
 accepted only at the full declared degree; a fit at 40 digits or more may
-be shorter than the bound.
+be shorter than the bound.  A product that vanishes identically raises
+IdenticallyZeroIntegral where it is seen: g reducing to zero, or a fit.
 """
 
 import cmath
@@ -38,8 +39,9 @@ import numpy as np
 
 from .config import DEFAULT
 from .cycles import Cycle, symmetry_group
-from .errors import (CycleIntegralsError, FitRejected, IdentityViolation,
-                     InputError, LengthMismatch, SingularDesignSystem)
+from .errors import (CycleIntegralsError, FitRejected, IdenticallyZeroIntegral,
+                     IdentityViolation, InputError, LengthMismatch,
+                     SingularDesignSystem)
 from .poly import (ComplexPoly, RatPoly, as_fraction, cluster_points,
                    critical_values, lex_sorted, roots_raw)
 from .precision import aberth_mp, dft_fit_mp, horner_mp
@@ -96,7 +98,8 @@ class OraclePoly:
     ``regular`` groups them into (center, multiplicity) pairs away from the
     critical values, every multiplicity even for a sign-symmetric product,
     and ``excluded`` holds the centers of the clusters on a critical value,
-    both in ``lex_sorted`` order.
+    both in ``lex_sorted`` order.  An identically zero product has no
+    oracle: its build raises IdenticallyZeroIntegral.
     """
 
     kind: str
@@ -105,7 +108,6 @@ class OraclePoly:
     declared_degree_bound: int
     fitted_degree: int
     fit_residual: float
-    identically_zero: bool
     precision_dps: int | None
     zeros: tuple
     regular: tuple
@@ -282,8 +284,8 @@ def _fit(sampler, degree_bound, radius, dps):
     their mirrors.  The prescale is taken at the real point t = radius, so
     it is real, and the identically-zero test sees every factor modulus.
     Returns the coefficients up to ``degree_bound``, the largest sample
-    modulus and the DFT tail relative to it, or (None, None, 0.0) when the
-    product is identically zero.
+    modulus and the DFT tail relative to it; raises IdenticallyZeroIntegral
+    when a branch factor vanishes to noise at every sample.
     """
     k_count = DEFAULT.samples_factor * (degree_bound + 1)
     upper = range(k_count // 2 + 1)
@@ -316,7 +318,8 @@ def _fit(sampler, degree_bound, radius, dps):
                                          / len(absf))))
             samples.append(np.prod(factors * rescale))
         if all_zero:
-            return None, None, 0.0
+            raise IdenticallyZeroIntegral(
+                "a branch factor vanishes identically on the sampling circle")
         samples += [samples[k_count - k].conjugate()
                     for k in range(len(upper), k_count)]
         max_abs = np.max(np.abs(samples))
@@ -342,18 +345,15 @@ def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
     return 0
 
 
-def _verify_zeros(sampler, zeros):
-    """Ring-verify one representative per distinct zero.
+def _verify_zeros(sampler, clusters):
+    """Ring-verify the first member of each zero cluster.
 
     The ring test resolves ratios down to the double-precision log floor,
     far below the acceptance threshold, so it always runs in doubles no
     matter what precision produced the fit.
     """
-    reps = []
-    for z in zeros:
-        if all(abs(z - r) > 1e-6 * (1.0 + abs(r)) for r in reps):
-            reps.append(z)
-    return all(sampler.ring_ratio(z) <= DEFAULT.root_verify for z in reps)
+    return all(sampler.ring_ratio(members[0]) <= DEFAULT.root_verify
+               for _, members in clusters)
 
 
 def _split_regular(clusters, crit_values):
@@ -381,38 +381,46 @@ def _split_regular(clusters, crit_values):
             tuple(lex_sorted(excluded, DEFAULT.tol_cluster)))
 
 
-def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
-    """Fit the product once per rung of the precision ladder, then
-    extract, ring-verify and group the zeros of the fit.
+def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
+    """Fit the product of the distinct branch factors of ``integrand`` over
+    the injections of the cycle's slots into the fiber of p, once per rung
+    of the precision ladder, then extract, cluster and verify its zeros.
 
-    Each rung calls `_fit` at its precision.  The zeros of the fitted
-    polynomial come from ``np.roots`` in doubles and from ``aberth_mp``
-    at 40 digits or more; the ring test verifies every zero in doubles.
+    ``degree_bound``, the degree of the product over all injections, and
+    deg p are capped before anything is enumerated; the fit's bound is
+    ``degree_bound`` over the injections per distinct factor.  The circle
+    has radius radius_factor * (1 + max |critical value of p|) and stays
+    fixed: the DFT recovers the coefficients of the product exactly
+    wherever its zeros lie, and zeros far outside the circle only make the
+    top coefficients small, which a higher rung resolves.  A double fit is
+    rooted by ``np.roots`` and accepted only at the full declared degree,
+    since doubles cannot tell a top coefficient 1e-13 below the largest
+    from noise; a fit at 40 digits or more is rooted by ``aberth_mp``.  A
+    sign-symmetric product starts at 40 digits: a double fit locates a
+    double zero to about the square root of its residual, so its ring
+    test seldom passes.
 
-    The circle stays fixed: the DFT recovers the coefficients of the
-    product exactly wherever its zeros lie, and zeros far outside the
-    circle only make the top coefficients small, which a higher rung of
-    the ladder resolves.  A double fit is accepted only at the full
-    declared degree, since doubles cannot tell a top coefficient 1e-13
-    below the largest from noise; a fit at 40 digits or more may be
-    shorter.  A sign-symmetric product starts the ladder at 40 digits: a
-    double fit locates a double zero to about the square root of its
-    residual, so whether its ring test passed would depend on the
-    conditioning of the draw, and it seldom does.
-
-    Verified zeros are clustered at cluster_scale * (base_scale + |z|) and
-    the clusters on one of ``crit_values`` are set apart.  Under a sign
-    symmetry every regular zero has even multiplicity, so a regular
-    cluster of odd size means the rung split a multiple zero, and the
-    ladder climbs as for a failed ring test.
+    Zeros are clustered at cluster_scale * (base_scale + |z|), base_scale
+    from the critical values of f (those of f + eps*g lie far out when
+    deg g > deg f); the first zero of each cluster is ring-tested, and the
+    clusters on a critical value of p are set apart.  Under a sign
+    symmetry an odd regular cluster means the rung split a multiple zero.
     """
-    last_residual = None
+    if p.degree > DEFAULT.oracle_fiber_cap:
+        raise InputError(
+            f"fiber size {p.degree} exceeds oracle cap {DEFAULT.oracle_fiber_cap}")
+    if degree_bound > DEFAULT.degree_cap:
+        raise InputError(
+            f"oracle degree bound {degree_bound} exceeds cap {DEFAULT.degree_cap}")
+    sampler = _ProductSampler(p, integrand, cycle,
+                              tuple(itertools.permutations(range(p.degree), cycle.m)))
+    degree_bound //= sampler.power
+    radius = DEFAULT.radius_factor * (1.0 + crit_p.max_abs)
+    base_scale = DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
     tol = lambda z: DEFAULT.cluster_scale * (base_scale + abs(z))
+    last_residual = None
     for dps in _DPS_LADDER[1:] if sampler.signed else _DPS_LADDER:
         coeffs, max_abs, residual = _fit(sampler, degree_bound, radius, dps)
-        if coeffs is None:
-            return OraclePoly(kind, (), radius, degree_bound, 0, 0.0, True, dps,
-                              (), (), ())
         last_residual = residual
         if residual > DEFAULT.tol_fit:
             continue
@@ -430,63 +438,49 @@ def _build_oracle(kind, sampler, degree_bound, radius, base_scale, crit_values):
                 tol_exp = max(32, (dps - 4) // 2)
                 u_roots = aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp)
             zeros = tuple(complex(radius * u) for u in u_roots)
-        if not _verify_zeros(sampler, zeros):
+        clusters = cluster_points(zeros, tol)
+        if not _verify_zeros(sampler, clusters):
             continue
-        regular, excluded = _split_regular(cluster_points(zeros, tol),
-                                           crit_values)
+        regular, excluded = _split_regular(clusters, crit_p.critical_values)
         if sampler.signed and any(mult % 2 for _, mult in regular):
             continue
         return OraclePoly(kind, tuple(complex(c) for c in coeffs), radius,
-                          degree_bound, fitted, residual, False, dps,
+                          degree_bound, fitted, residual, dps,
                           zeros, regular, excluded)
     raise FitRejected(
         f"{kind} oracle fit failed at every precision (last residual "
         f"{last_residual})")
 
 
-def _check_caps(n_fiber, degree_bound):
-    if n_fiber > DEFAULT.oracle_fiber_cap:
-        raise InputError(
-            f"fiber size {n_fiber} exceeds oracle cap {DEFAULT.oracle_fiber_cap}")
-    if degree_bound > DEFAULT.degree_cap:
-        raise InputError(
-            f"oracle degree bound {degree_bound} exceeds cap {DEFAULT.degree_cap}")
-
-
 def build_tangential_oracle(inst):
     """Product of the distinct branch factors of the integral of g on the
     cycle over all fiber orderings.
 
-    When deg f divides deg g the deformation is reduced first.  The product
-    over all orderings has degree at most deg(g_tilde) * (m-1)!; the declared
-    bound is that divided by the number of orderings per distinct factor.
+    When deg f divides deg g the deformation is reduced first; raises
+    IdenticallyZeroIntegral when it reduces to zero.  The product over all
+    orderings has degree at most deg(g_tilde) * (m-1)!.
     """
     m = inst.m
     g_eff = inst.g
     if inst.n % m == 0:
         g_eff, _ = reduce_deformation(inst.f, inst.g)
     crit = critical_values(inst.f)
-    radius = DEFAULT.radius_factor * (1.0 + crit.max_abs)
     if g_eff.is_zero:
-        return OraclePoly("tangential", (), radius, 0, 0, 0.0, True, None,
-                          (), (), ())
+        raise IdenticallyZeroIntegral(
+            "g reduces to zero: the integral vanishes identically (tangential center)")
     degree_bound = g_eff.degree * math.factorial(m - 1)
     if inst.cycle.is_simple and m > 2:
         # a simple cycle forces (d-1)(m-2)! intersection points at
         # infinity, each of which lowers the product degree by one
         d = math.gcd(m, g_eff.degree)
         degree_bound -= (d - 1) * math.factorial(m - 2)
-    _check_caps(m, degree_bound)
-    assignments = tuple(itertools.permutations(range(m)))
-    sampler = _ProductSampler(inst.f, g_eff, inst.cycle, assignments)
-    return _build_oracle("tangential", sampler, degree_bound // sampler.power,
-                         radius, radius, crit.critical_values)
+    return _build_oracle("tangential", inst.f, g_eff, inst.cycle,
+                         degree_bound, crit, crit)
 
 
 def build_infinitesimal_oracle(inst):
     """Product of the distinct branch factors over injections of the weight
-    slots into the deformed fiber, with the degree bound of the product over
-    all injections divided by the number of injections per distinct factor.
+    slots into the deformed fiber.
 
     Uses the integrand f when deg g >= deg f (lower hypersurface degree
     via the exact displacement identity) and g when deg g < deg f.
@@ -495,16 +489,13 @@ def build_infinitesimal_oracle(inst):
     """
     m, n = inst.m, inst.n
     p = inst.deformed_poly()
-    n_fiber = p.degree
-    if n_fiber != max(m, n):
+    if p.degree != max(m, n):
         raise InputError("epsilon degenerates the leading coefficient")
     crit_f = critical_values(inst.f)
-    crit_eps = critical_values(p)
-    # zeros cluster at the scale of the critical values of f: for deg g >
-    # deg f, f + eps*g has critical values far out that would widen them
-    base_scale = DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
+    crit_p = critical_values(p)
+    reach = 2.0 * DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
     for cv in crit_f.critical_values:
-        if min(abs(cv - ce) for ce in crit_eps.critical_values) > 2.0 * base_scale:
+        if min(abs(cv - ce) for ce in crit_p.critical_values) > reach:
             raise InputError(
                 f"epsilon={inst.epsilon} is outside the perturbative regime")
     if n < m:
@@ -515,13 +506,8 @@ def build_infinitesimal_oracle(inst):
         if n % m == 0:
             degree_bound -= math.factorial(m - 1)
         integrand = inst.f
-    _check_caps(n_fiber, degree_bound)
-    radius = DEFAULT.radius_factor * (1.0 + crit_eps.max_abs)
-    assignments = tuple(itertools.permutations(range(n_fiber), m))
-    sampler = _ProductSampler(p, integrand, inst.cycle, assignments)
-    return _build_oracle("infinitesimal", sampler,
-                         degree_bound // sampler.power, radius, base_scale,
-                         crit_eps.critical_values)
+    return _build_oracle("infinitesimal", p, integrand, inst.cycle,
+                         degree_bound, crit_f, crit_p)
 
 
 # -- Brieskorn data ----------------------------------------------------------

@@ -167,15 +167,10 @@ class RatPoly:
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
-        """Horner evaluation; exact for Fraction/int input, complex otherwise."""
-        if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        acc = 0j
+        """Horner evaluation; exact for Fraction/int input."""
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + complex(c)
+            acc = acc * x + c
         return acc
 
     def monic(self):

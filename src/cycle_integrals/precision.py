@@ -70,7 +70,7 @@ def _newton_polygon_start(c):
     return z
 
 
-def aberth_mp(coeffs, dps, init=None, max_iter=400, tol_exp=None):
+def aberth_mp(coeffs, dps, init=None, tol_exp=None):
     """All roots of an ascending mpc coefficient list at ``dps`` digits.
 
     The iteration starts from ``init`` when it holds ``d`` distinct points,
@@ -112,7 +112,7 @@ def aberth_mp(coeffs, dps, init=None, max_iter=400, tol_exp=None):
         if z is None or not _distinct(z):
             z = _newton_polygon_start(c)
 
-        for _ in range(max_iter):
+        for _ in range(400):
             p = [horner_mp(c, zk) for zk in z]
             conv = [mp.mag(pk) <= log2_tol + log2_scale(zk) + 2
                     for pk, zk in zip(p, z)]

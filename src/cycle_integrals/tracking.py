@@ -122,7 +122,7 @@ def _nearest(old, new):
     return assignment if len(set(assignment)) == n else None
 
 
-def _match(old, new):
+def halving_match(old, new):
     """Nearest-neighbor matching old->new; None unless a halving bijection."""
     n = len(old)
     assignment = _nearest(old, new)
@@ -179,7 +179,7 @@ def track_path(fiber, path, critical=None):
             try:
                 raw = roots_raw(p.minus(t_next).coeffs, init=current)
                 new = [complex(z) for z in raw]
-                assignment = _match(current, new)
+                assignment = halving_match(current, new)
             except NumericalError:
                 assignment = None
             if assignment is None:

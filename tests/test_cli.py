@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycle_integrals import melnikov
 from cycle_integrals.cli import main
 
 PAPER = {"f": [0, 0, 1, 1], "g": [0, 1, 3], "cycle": [1, 1, -2],
@@ -90,16 +91,34 @@ class TestInstanceCommands:
         ["experiment", "--m", "3", "--n", "2", "--epsilon", "1/0"],
         ["monodromy", "--f", "[0,0,1]", "--basepoint=a,b"],
         ["monodromy", "--f", "[0,0,1]", "--basepoint=1e400,0"],
+        ["monodromy", "--f", "[0,0,1]", "--basepoint=1.5,0.2,99"],
         ["design-g", "--f", "[0,0,1,1]", "--cycle", "[1,2,-3]", "--n", "4",
          "--targets", "nan"],
+        ["experiment", "--m", "3", "--n", "2", "--trials", "-3"],
     ], ids=["schedule-word", "schedule-zero-denominator", "epsilon-word",
             "experiment-zero-denominator", "basepoint-word",
-            "basepoint-overflow", "design-target-nan"])
+            "basepoint-overflow", "basepoint-three-parts",
+            "design-target-nan", "experiment-negative-trials"])
     def test_malformed_number_exits_2(self, capsys, paper_instance, argv):
         if argv[0] in ("alien", "infinitesimal"):
             argv = argv + ["--instance", paper_instance]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_identically_zero_product_exits_2(self, tmp_path, capsys):
+        # f = x^4 - x^2 and g = x^2 are both polynomials in x^2, so the
+        # branch factor pairing z with -z vanishes identically
+        path = tmp_path / "composite.json"
+        path.write_text(json.dumps(dict(PAPER, f=[0, 0, -1, 0, 1],
+                                        g=[0, 0, 1], cycle=[1, -1, 0, 0])))
+        assert main(["tangential", "--instance", str(path)]) == 2
+        assert "vanishes identically" in capsys.readouterr().err
+
+    def test_rejected_fit_exits_3(self, capsys, paper_instance, monkeypatch):
+        # no rung of the precision ladder verifies its zeros
+        monkeypatch.setattr(melnikov, "_verify_zeros", lambda *args: False)
+        assert main(["tangential", "--instance", paper_instance]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_invalid_cycle_rejected(self, tmp_path, capsys):
         bad = dict(PAPER)
@@ -198,6 +217,23 @@ class TestPlotData:
         assert lines[0] == "branch,epsilon,re_t,im_t,class"
         assert all(line.endswith(",alien") for line in lines[1:])
         assert len(lines) - 1 == 2 * 3  # two branches, three schedule points
+
+    def test_json_rows_equal_csv_rows(self, capsys, paper_instance, tmp_path):
+        report_path = str(tmp_path / "alien.json")
+        code, _ = run(capsys, "alien", "--instance", paper_instance,
+                      "--schedule", "1/50,1/100,1/200",
+                      "--output", report_path)
+        assert code == 0
+        code, csv = run(capsys, "plot-data", "--report", report_path)
+        assert code == 0
+        code, out = run(capsys, "plot-data", "--report", report_path,
+                        "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert [",".join(result["header"])] + [
+            ",".join(str(v) for v in row) for row in result["rows"]
+        ] == csv.strip().splitlines()
+        assert len(result["rows"]) == 2 * 3
 
     def test_empty_report(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

@@ -110,6 +110,19 @@ class TestTangentialCount:
         with pytest.raises(IdenticallyZeroIntegral):
             count_tangential_zeros(inst)
 
+    @pytest.mark.parametrize("count, epsilon", [
+        (count_tangential_zeros, None),
+        (count_infinitesimal_zeros, Fraction(1, 100)),
+    ], ids=["tangential", "infinitesimal"])
+    def test_identically_zero_product_raises(self, count, epsilon):
+        # g does not reduce to zero, but f = x^4 - x^2 and g = x^2 are both
+        # polynomials in x^2, so the factor g(z) - g(-z) vanishes
+        # identically and the fit sees it vanish at every sample
+        inst = Instance(RatPoly([0, 0, -1, 0, 1]), RatPoly([0, 0, 1]),
+                        Cycle((1, -1, 0, 0)), epsilon=epsilon)
+        with pytest.raises(IdenticallyZeroIntegral):
+            count(inst)
+
     def test_epsilon_rejected(self):
         with pytest.raises(InputError):
             count_tangential_zeros(PAPER_EPS)

@@ -93,6 +93,21 @@ def test_every_import_is_used():
     assert not unused, unused
 
 
+def test_no_private_cross_module_imports():
+    # an underscore name is private to its module: no package module
+    # imports one from another (dunder names such as __version__ excepted)
+    offenders = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("cycle_integrals")):
+                offenders += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names
+                              if alias.name.startswith("_")
+                              and not alias.name.startswith("__")]
+    assert not offenders, offenders
+
+
 def test_names_the_benchmark_tracer_reads_exist():
     # the traced benchmark run wraps names where program modules bind them
     # and reads fields of the oracle; parse it without importing, so a
