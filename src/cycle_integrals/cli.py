@@ -235,7 +235,8 @@ def _cmd_reduce(args):
 
 def _cmd_monodromy(args):
     f = parse_poly(_json_array(args.f, "--f"), "f")
-    basepoint = _parse_basepoint(args.basepoint) if args.basepoint else None
+    basepoint = (None if args.basepoint is None
+                 else _parse_basepoint(args.basepoint))
     rep = monodromy(f, basepoint=basepoint,
                     ordering="real" if args.real_order else "lex")
     payload = {"command": "monodromy", "f": [str(c) for c in f.coeffs],

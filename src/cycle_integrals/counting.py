@@ -120,9 +120,10 @@ def count_tangential_zeros(inst):
     if inst.epsilon not in (None, 0):
         raise InputError("tangential counting runs without epsilon")
     oracle = build_tangential_oracle(inst)
-    n_cert = _certificate_degree("tangential", inst.m, inst.n, inst.f, inst.g)
-    return _zero_report(inst, oracle, bound_tangential(inst.m, inst.n),
-                        regular_at_infinity(inst.cycle, n_cert).as_dict())
+    # the certificate degree is deg g after the oracle's reduction
+    return _zero_report(
+        inst, oracle, bound_tangential(inst.m, inst.n),
+        regular_at_infinity(inst.cycle, oracle.integrand_degree).as_dict())
 
 
 def count_infinitesimal_zeros(inst):

@@ -18,8 +18,10 @@ F with -F.  Zeros far outside the circle make the top coefficients small;
 the circle stays, and the build climbs one fixed precision ladder
 (doubles, then 40, 80, 160 and 320 digits) until the fit resolves them;
 a sign-symmetric product starts at 40 digits.  Every rung runs the same
-fit: only the fiber solve, the factor evaluation, the logarithms, the DFT
-and the noise floors depend on the precision.  A rung is accepted when
+fit loop.  A double rung runs on numpy; a rung of 40 digits or more runs
+its fiber solves, factor evaluations, sample products, DFT, noise floors
+and root extraction on the (re, im) Decimal pairs of ``precision``, the
+one extended-precision kernel.  A rung is accepted when
 every extracted zero passes the ring test against the branches and, for
 a sign-symmetric product, every regular zero cluster has even size; this
 module alone decides zero multiplicities.  A double-precision fit is
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .config import DEFAULT
@@ -44,7 +45,9 @@ from .errors import (CycleIntegralsError, FitRejected, IdenticallyZeroIntegral,
                      SingularDesignSystem)
 from .poly import (ComplexPoly, RatPoly, as_fraction, cluster_points,
                    critical_values, lex_sorted, roots_raw)
-from .precision import aberth_mp, dft_fit_mp, horner_mp
+from .precision import (aberth_mp, circle_mp, conj, dft_fit_mp, log10_abs,
+                        normalized, product_mp, shifted, to_complex, to_pairs,
+                        weighted_sums)
 from .tracking import solve_fiber
 
 
@@ -98,8 +101,10 @@ class OraclePoly:
     ``regular`` groups them into (center, multiplicity) pairs away from the
     critical values, every multiplicity even for a sign-symmetric product,
     and ``excluded`` holds the centers of the clusters on a critical value,
-    both in ``lex_sorted`` order.  An identically zero product has no
-    oracle: its build raises IdenticallyZeroIntegral.
+    both in ``lex_sorted`` order.  ``integrand_degree`` is the degree of
+    the integrand in the branch factors: deg g after its reduction for the
+    tangential oracle.  An identically zero product has no oracle: its
+    build raises IdenticallyZeroIntegral.
     """
 
     kind: str
@@ -112,6 +117,7 @@ class OraclePoly:
     zeros: tuple
     regular: tuple
     excluded: tuple
+    integrand_degree: int
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ class _ProductSampler:
     whether the factors come in pairs F, -F: a permutation of the cycle maps
     its weights to their negatives, which gives every zero of the product
     even multiplicity.  ``fiber`` and ``factors`` work in doubles when
-    ``dps`` is None and at ``dps`` digits otherwise.
+    ``dps`` is None and on the kernel's pairs at ``dps`` digits otherwise.
     """
 
     def __init__(self, p, integrand, cycle, assignments):
@@ -217,13 +223,8 @@ class _ProductSampler:
         """Coefficients of ``poly`` at precision ``dps``, cached."""
         key = (id(poly), dps)
         if key not in self._cache:
-            if dps is None:
-                self._cache[key] = poly.to_complex().coeffs
-            else:
-                with mp.workdps(dps):
-                    self._cache[key] = tuple(
-                        mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                        for c in poly.coeffs)
+            self._cache[key] = (poly.to_complex().coeffs if dps is None
+                                else to_pairs(poly.coeffs, dps))
         return self._cache[key]
 
     def fiber(self, t, dps, init=None):
@@ -231,41 +232,47 @@ class _ProductSampler:
         c = self._coeffs(self.p, dps)
         if dps is None:
             return roots_raw((c[0] - t,) + c[1:], init=init)
-        with mp.workdps(dps):
-            return aberth_mp((c[0] - t,) + c[1:], dps, init=init)
+        return aberth_mp(shifted(c, t, dps), dps, init=init)
 
     def factors(self, roots, dps):
-        """The distinct branch factors on a fiber and max |integrand|."""
+        """The distinct branch factors on a fiber, and whether one of them
+        vanishes to noise there: to 1e-10 in doubles, 10**(8 - dps) at
+        ``dps`` digits, of sum |w| * max |integrand| on the fiber."""
         c = self._coeffs(self.integrand, dps)
         if dps is None:
             vals = ComplexPoly(c).evaluate(np.asarray(roots, dtype=complex))
-            return vals[self.index] @ self.wvec, float(np.max(np.abs(vals)))
-        with mp.workdps(dps):
-            vals = [horner_mp(c, z) for z in roots]
-            factors = [sum(w * vals[i] for w, i in zip(self.weights, pattern))
-                       for pattern in self.patterns]
-            return np.array(factors, dtype=object), max(abs(v) for v in vals)
+            factors = vals[self.index] @ self.wvec
+            # ``1e-300`` keeps every modulus positive
+            floor = 100.0 * DEFAULT.identically_zero * (
+                self.wabs * float(np.max(np.abs(vals))) + 1e-300)
+            return factors, not np.min(np.abs(factors) + 1e-300) > floor
+        factors, log_vmax = weighted_sums(c, roots, self.weights,
+                                          self.patterns, dps)
+        floor = 8 - dps + math.log10(self.wabs) + log_vmax
+        return factors, not min(log10_abs(v) for v in factors) > floor
 
-    def log_abs_d(self, t):
-        """log |N(t)| up to the constant prescale (-inf at exact zeros)."""
-        factors, _ = self.factors(self.fiber(t, None), None)
+    def log_abs_d(self, t, init=None):
+        """log |N(t)| up to the constant prescale (-inf at exact zeros), and
+        the fiber over t, solved from ``init``."""
+        roots = self.fiber(t, None, init=init)
+        factors, _ = self.factors(roots, None)
         absf = np.abs(factors)
         if np.any(absf == 0.0):
-            return -math.inf
-        return float(np.sum(np.log(absf)))
+            return -math.inf, roots
+        return float(np.sum(np.log(absf))), roots
 
     def ring_ratio(self, t):
         """|N| at a claimed zero vs max |N| on a small surrounding ring.
 
         Scale free: a genuine zero of multiplicity k extracted with error e
         scores ~ (e/delta)^k, while a phantom root of the fitted polynomial
-        scores O(1).
+        scores O(1).  The ring fibers start from the center fiber.
         """
         delta = DEFAULT.ring_delta * (1.0 + abs(t))
         ring = [t + delta * cmath.exp(1j * math.pi * (2 * k + 1) / 4)
                 for k in range(4)]
-        center = self.log_abs_d(t)
-        edge = max(self.log_abs_d(z) for z in ring)
+        center, roots = self.log_abs_d(t)
+        edge = max(self.log_abs_d(z, roots)[0] for z in ring)
         if center == -math.inf:
             return 0.0
         if edge == -math.inf:
@@ -274,60 +281,64 @@ class _ProductSampler:
 
 
 def _fit(sampler, degree_bound, radius, dps):
-    """Samples of the prescaled product on the circle and their DFT, in
-    doubles when ``dps`` is None and at ``dps`` digits otherwise.
+    """Samples of the product on the circle and their DFT, in doubles when
+    ``dps`` is None and on the kernel's pairs at ``dps`` digits otherwise.
 
     f, g and the weights are real, so the fiber over conj(t) is the
     conjugate of the fiber over t and the product N has real coefficients:
     N(conj t) = conj N(t).  Only the upper half circle, k = 0 .. K//2, is
     solved and evaluated; the other samples are the exact conjugates of
-    their mirrors.  The prescale is taken at the real point t = radius, so
-    it is real, and the identically-zero test sees every factor modulus.
-    Returns the coefficients up to ``degree_bound``, the largest sample
-    modulus and the DFT tail relative to it; raises IdenticallyZeroIntegral
-    when a branch factor vanishes to noise at every sample.
+    their mirrors.  In doubles each factor is prescaled by one real number,
+    taken at the real point t = radius, so the product stays in range; at
+    ``dps`` digits the samples are normalised to a largest modulus of 1
+    instead.  Returns the coefficients up to ``degree_bound``, the largest
+    sample modulus and the DFT tail relative to it; raises
+    IdenticallyZeroIntegral when a branch factor vanishes to noise at every
+    sample.
     """
     k_count = DEFAULT.samples_factor * (degree_bound + 1)
-    upper = range(k_count // 2 + 1)
-    with mp.workdps(dps or 15):
-        # a branch vanishing to noise at every sample means the product is
-        # identically zero (a nonzero polynomial of degree <= D cannot be
-        # tiny at all K > D samples); ``tiny`` keeps every modulus positive
-        if dps is None:
-            zero_tol, tiny = 100.0 * DEFAULT.identically_zero, 1e-300
-            circle = [radius * cmath.exp(2j * cmath.pi * k / k_count)
-                      for k in upper]
-        else:
-            zero_tol, tiny = mp.mpf(10) ** (8 - dps), mp.mpf(10) ** (-3 * dps)
-            circle = [radius * mp.expjpi(mp.mpf(2 * k) / k_count)
-                      for k in upper]
-        all_zero = True
-        rescale = roots = None
-        samples = []
-        for t in circle:
-            roots = sampler.fiber(t, dps, init=roots)
-            factors, vmax = sampler.factors(roots, dps)
-            absf = np.abs(factors) + tiny
-            if np.min(absf) > zero_tol * (sampler.wabs * vmax + tiny):
-                all_zero = False
-            if rescale is None:
-                # the real prescale at t = radius: one over the geometric
-                # mean of the factor moduli there
-                rescale = (np.exp(-float(np.mean(np.log(absf)))) if dps is None
-                           else mp.exp(-(sum(mp.log(a) for a in absf)
-                                         / len(absf))))
-            samples.append(np.prod(factors * rescale))
-        if all_zero:
-            raise IdenticallyZeroIntegral(
-                "a branch factor vanishes identically on the sampling circle")
+    upper = k_count // 2 + 1
+    circle = ([radius * cmath.exp(2j * cmath.pi * k / k_count)
+               for k in range(upper)] if dps is None
+              else circle_mp(radius, k_count, upper, dps))
+    # a branch vanishing to noise at every sample means the product is
+    # identically zero (a nonzero polynomial of degree <= D cannot be tiny
+    # at all K > D samples)
+    all_zero = True
+    rescale = roots = None
+    samples = []
+    for t in circle:
+        roots = sampler.fiber(t, dps, init=roots)
+        factors, vanishing = sampler.factors(roots, dps)
+        all_zero = all_zero and vanishing
+        if dps is not None:
+            samples.append(product_mp(factors, dps))
+            continue
+        if rescale is None:
+            # the real prescale at t = radius: one over the geometric mean
+            # of the factor moduli there
+            rescale = np.exp(-float(np.mean(np.log(np.abs(factors) + 1e-300))))
+        samples.append(np.prod(factors * rescale))
+    if all_zero:
+        raise IdenticallyZeroIntegral(
+            "a branch factor vanishes identically on the sampling circle")
+    if dps is None:
         samples += [samples[k_count - k].conjugate()
-                    for k in range(len(upper), k_count)]
+                    for k in range(upper, k_count)]
         max_abs = np.max(np.abs(samples))
-        coeffs = (np.fft.fft(samples) / k_count if dps is None
-                  else dft_fit_mp(samples, dps))
+        coeffs = np.fft.fft(samples) / k_count
         tail = (np.max(np.abs(coeffs[degree_bound + 1:]))
                 if degree_bound + 1 < k_count else 0.0)
         return coeffs[:degree_bound + 1], max_abs, float(tail / max_abs)
+    # the decimal exponent range holds the unscaled product, so the samples
+    # need no prescale; they are normalised to a largest modulus of 1
+    samples = normalized(
+        samples + [conj(samples[k_count - k]) for k in range(upper, k_count)],
+        dps)
+    coeffs = dft_fit_mp(samples, dps)
+    tail = max((log10_abs(c) for c in coeffs[degree_bound + 1:]),
+               default=-math.inf)
+    return coeffs[:degree_bound + 1], 1.0, 10.0 ** tail
 
 
 def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
@@ -335,14 +346,19 @@ def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
 
     The noise floor is the working precision: 1e-13 of the largest
     coefficient in doubles, 10**(3 - dps) of it at ``dps`` digits, so an
-    extended fit keeps top coefficients that doubles cannot see.
+    extended fit keeps top coefficients that doubles cannot see.  At
+    ``dps`` digits the moduli are compared in log10, because they may lie
+    beyond the double range.
     """
-    floor = 1e-13 if dps is None else mp.mpf(10) ** (3 - dps)
-    thresh = max(10.0 * tail_abs, floor * max_abs)
-    for d in range(len(coeffs) - 1, 0, -1):
-        if abs(coeffs[d]) > thresh:
-            return d
-    return 0
+    if dps is None:
+        thresh = max(10.0 * tail_abs, 1e-13 * max_abs)
+        above = lambda c: abs(c) > thresh
+    else:
+        log_thresh = max(math.log10(10.0 * tail_abs) if tail_abs else -math.inf,
+                         3 - dps + math.log10(max_abs))
+        above = lambda c: log10_abs(c) > log_thresh
+    return next((d for d in range(len(coeffs) - 1, 0, -1) if above(coeffs[d])),
+                0)
 
 
 def _verify_zeros(sampler, clusters):
@@ -395,7 +411,8 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
     top coefficients small, which a higher rung resolves.  A double fit is
     rooted by ``np.roots`` and accepted only at the full declared degree,
     since doubles cannot tell a top coefficient 1e-13 below the largest
-    from noise; a fit at 40 digits or more is rooted by ``aberth_mp``.  A
+    from noise; a fit at 40 digits or more is rooted by ``aberth_mp`` on
+    its Decimal pairs, and its zeros are rounded to doubles.  A
     sign-symmetric product starts at 40 digits: a double fit locates a
     double zero to about the square root of its residual, so its ring
     test seldom passes.
@@ -424,20 +441,20 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
         last_residual = residual
         if residual > DEFAULT.tol_fit:
             continue
-        tail_abs = residual * max_abs
-        with mp.workdps(dps or 15):
-            fitted = _fitted_degree(coeffs, tail_abs, max_abs, dps)
-            if dps is None and fitted < degree_bound:
-                continue
-            if dps is None:
-                u_roots = np.roots(np.array(coeffs[fitted::-1], dtype=complex))
-            else:
-                # roots only need ~1e-12 relative accuracy downstream and
-                # a double root converges linearly, so cap the demand but
-                # let it grow with the working precision
-                tol_exp = max(32, (dps - 4) // 2)
-                u_roots = aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp)
+        fitted = _fitted_degree(coeffs, residual * max_abs, max_abs, dps)
+        if dps is None and fitted < degree_bound:
+            continue
+        if dps is None:
+            u_roots = np.roots(np.array(coeffs[fitted::-1], dtype=complex))
             zeros = tuple(complex(radius * u) for u in u_roots)
+        else:
+            # roots only need ~1e-12 relative accuracy downstream and a
+            # double root converges linearly, so cap the demand but let it
+            # grow with the working precision
+            tol_exp = max(32, (dps - 4) // 2)
+            zeros = tuple(radius * to_complex(u) for u in
+                          aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp))
+            coeffs = [to_complex(c) for c in coeffs]
         clusters = cluster_points(zeros, tol)
         if not _verify_zeros(sampler, clusters):
             continue
@@ -446,7 +463,7 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
             continue
         return OraclePoly(kind, tuple(complex(c) for c in coeffs), radius,
                           degree_bound, fitted, residual, dps,
-                          zeros, regular, excluded)
+                          zeros, regular, excluded, integrand.degree)
     raise FitRejected(
         f"{kind} oracle fit failed at every precision (last residual "
         f"{last_residual})")

@@ -14,7 +14,8 @@ interpreted operations, so a vectorised kernel wins at high degree: against
 numpy this one is faster up to degree 16, about even at 24 and half as fast
 at 32, degrees that only monodromy and direct calls of the public root
 finders reach.
-``precision.aberth_mp`` is its mpmath twin for extended precision.
+``precision.aberth_mp`` runs the same iteration at 40 digits and more, on
+the (re, im) Decimal pairs of the extended-precision kernel.
 """
 
 import cmath

@@ -1,120 +1,259 @@
-"""Root solve, Horner evaluation and DFT at ``dps`` digits for the oracle fit.
+"""The extended-precision kernel: complex arithmetic at ``dps`` digits for
+the oracle fit, its fiber solves and its root extraction.
 
-The one fit of the oracle builder calls them on the rungs above doubles,
-where double precision cannot separate the coefficient scales (singular
-perturbations spread the zeros of the infinitesimal oracle over many
-orders of magnitude).  Every function takes an explicit ``dps`` so results
-are deterministic.  A cold-start root solve begins from the
+A number at ``dps`` digits is a pair (re, im) of ``decimal.Decimal``.
+Every function that takes ``dps`` evaluates under a ``decimal.Context``
+built here: dps + 2 digits, rounding half-even and the widest exponent
+range, so values from 1e-400 to 1e400 need no scaling.  dps + 2 digits
+carry at least the working precision mpmath gives ``dps`` digits,
+round((dps + 1) * log2(10)) bits (136 bits, about 40.9 digits, at 40).
+The context is entered with ``decimal.localcontext`` on a copy, so the
+caller's context is neither read nor changed.  ``decimal`` runs on
+libmpdec, in C; mpmath computes only what is done once per fit (the roots
+of unity of the sampling circle and of the DFT) and the last-resort
+``mp.polyroots``.  A cold-start root solve begins from the
 companion-matrix roots of the coefficients rounded to doubles, so the
-mpmath iteration only polishes them.
+iteration only polishes them.
 """
+
+import decimal
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
 from .errors import NonConvergence
 
-
-def to_mpc(x):
-    if isinstance(x, mp.mpc):
-        return x
-    return mp.mpc(x)
+_ZERO = Decimal(0)
+# log10 |0| in the residual test's scale bound, which must stay finite
+_LOG10_FLOOR = -1e9
 
 
-def horner_mp(coeffs, x):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _context(dps):
+    return decimal.Context(
+        prec=dps + 2, rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+               decimal.Overflow])
+
+
+def _working(dps):
+    return decimal.localcontext(_context(dps))
+
+
+def _pair(x):
+    """``x`` (a pair, int, Fraction, float or complex) rounded to the
+    current context."""
+    if isinstance(x, tuple):
+        return +x[0], +x[1]
+    if isinstance(x, Fraction):
+        return Decimal(x.numerator) / Decimal(x.denominator), _ZERO
+    x = complex(x)
+    return +Decimal(x.real), +Decimal(x.imag)
+
+
+def _from_mp(x, dps):
+    """An mpc or mpf as a pair rounded to the current context."""
+    return (+Decimal(mp.nstr(mp.re(x), dps + 4)),
+            +Decimal(mp.nstr(mp.im(x), dps + 4)))
+
+
+def _horner(coeffs, z):
+    zr, zi = z
+    ar = ai = _ZERO
+    for cr, ci in reversed(coeffs):
+        ar, ai = ar * zr - ai * zi + cr, ar * zi + ai * zr + ci
+    return ar, ai
+
+
+def _inverse(z):
+    n = z[0] * z[0] + z[1] * z[1]
+    return z[0] / n, -z[1] / n
+
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _abs(z):
+    return (z[0] * z[0] + z[1] * z[1]).sqrt()
+
+
+def to_pairs(values, dps):
+    """Pairs at ``dps`` digits of ints, Fractions, floats, complexes or
+    pairs."""
+    with _working(dps):
+        return tuple(_pair(v) for v in values)
+
+
+def to_complex(z):
+    return complex(float(z[0]), float(z[1]))
+
+
+def conj(z):
+    return z[0], z[1].copy_negate()
+
+
+def log10_abs(z):
+    """log10 |z| as a float, exponents beyond the double range included;
+    -inf at 0."""
+    exps = [x.adjusted() for x in z if x]
+    if not exps:
+        return -math.inf
+    e = max(exps)
+    if abs(e) < 300:
+        return math.log10(math.hypot(float(z[0]), float(z[1])))
+    # scale the mantissas below 10 first
+    ctx = _context(17)
+    return e + math.log10(math.hypot(float(z[0].scaleb(-e, ctx)),
+                                     float(z[1].scaleb(-e, ctx))))
+
+
+def shifted(coeffs, t, dps):
+    """The ascending coefficients of p - t, for p with ``coeffs``."""
+    with _working(dps):
+        c0 = coeffs[0]
+        return ((c0[0] - t[0], c0[1] - t[1]),) + tuple(coeffs[1:])
+
+
+def circle_mp(radius, count, stop, dps):
+    """radius * exp(2 pi i k / count) for k < ``stop``, as pairs."""
+    with _working(dps), mp.workdps(dps + 4):
+        r = Decimal(radius)
+        return [(r * re, r * im) for re, im in (
+            _from_mp(mp.expjpi(mp.mpf(2 * k) / count), dps) for k in range(stop))]
+
+
+def horner_mp(coeffs, z, dps):
+    """sum_i coeffs[i] z^i at ``dps`` digits."""
+    with _working(dps):
+        return _horner(coeffs, z)
+
+
+def weighted_sums(coeffs, points, weights, patterns, dps):
+    """sum_j weights[j] * h(points[pattern[j]]) for each pattern, with h the
+    polynomial of ascending ``coeffs``, and log10 of max |h(point)|."""
+    with _working(dps):
+        vals = [_horner(coeffs, z) for z in points]
+        sums = []
+        for pattern in patterns:
+            re = im = _ZERO
+            for w, i in zip(weights, pattern):
+                re += w * vals[i][0]
+                im += w * vals[i][1]
+            sums.append((re, im))
+    return sums, max(log10_abs(v) for v in vals)
+
+
+def product_mp(values, dps):
+    """The product of ``values`` at ``dps`` digits."""
+    with _working(dps):
+        acc = (Decimal(1), _ZERO)
+        for v in values:
+            acc = _mul(acc, v)
+        return acc
+
+
+def normalized(values, dps):
+    """``values`` divided by their largest modulus (unchanged when all are
+    0)."""
+    with _working(dps):
+        top = max(_abs(v) for v in values)
+        if not top:
+            return list(values)
+        return [(v[0] / top, v[1] / top) for v in values]
 
 
 def _double_seed(c):
-    """Companion-matrix roots of the monic ascending list ``c`` rounded to
-    complex doubles, or None when a coefficient does not fit in a double
-    (its rounding is infinite, or zero where it is not) or a root is not
-    finite."""
-    cd = np.array([complex(v) for v in reversed(c)])
+    """Companion-matrix roots of the monic ascending pair list ``c``
+    rounded to complex doubles, or None when a coefficient does not fit in
+    a double (its rounding is infinite, or zero where it is not) or a root
+    is not finite."""
+    cd = np.array([to_complex(v) for v in reversed(c)])
     if not np.all(np.isfinite(cd)) or any(
-            x == 0 and v != 0 for x, v in zip(cd, reversed(c))):
+            x == 0 and (v[0] or v[1]) for x, v in zip(cd, reversed(c))):
         return None
     z = np.roots(cd)
-    return [mp.mpc(v) for v in z] if np.all(np.isfinite(z)) else None
+    return [_pair(v) for v in z] if np.all(np.isfinite(z)) else None
 
 
 def _distinct(z):
-    return len({(mp.nstr(v.real, 12), mp.nstr(v.imag, 12)) for v in z}) == len(z)
+    ctx = decimal.Context(prec=12, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    return len({(ctx.plus(re), ctx.plus(im)) for re, im in z}) == len(z)
 
 
 def _newton_polygon_start(c):
-    """Bini's start for the monic ascending list ``c``: for each edge of the
-    upper convex hull of (i, log2|c_i|), of width k and slope s, k points on
-    the circle of radius 2**-s, and one point at 0 per vanishing low
-    coefficient.  Root moduli spread over hundreds of orders of magnitude
-    are then each started at their own scale."""
+    """Bini's start for the monic ascending pair list ``c``: for each edge
+    of the upper convex hull of (i, log10|c_i|), of width k and slope s,
+    k points on the circle of radius 10**-s, and one point at 0 per
+    vanishing low coefficient.  Root moduli spread over hundreds of orders
+    of magnitude are then each started at their own scale."""
     d = len(c) - 1
     hull = []
-    for q in [(i, float(mp.log(abs(v), 2))) for i, v in enumerate(c) if v != 0]:
+    for q in [(i, log10_abs(v)) for i, v in enumerate(c) if v[0] or v[1]]:
         # drop the last vertex while it lies on or below the chord to q
         while len(hull) >= 2 and (
                 (hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1])
                 >= (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])):
             hull.pop()
         hull.append(q)
-    z = [mp.mpc(0)] * hull[0][0]
+    z = [(_ZERO, _ZERO)] * hull[0][0]
     for (i, yi), (j, yj) in zip(hull, hull[1:]):
         k = j - i
-        radius = mp.mpf(2) ** ((yi - yj) / k)
-        z += [radius * mp.expjpi(2 * (m + mp.mpf("0.27")) / k + mp.mpf(2 * i) / d
-                                 + mp.mpf("0.13"))
-              for m in range(k)]
+        radius = Decimal(10) ** Decimal((yi - yj) / k)
+        for m in range(k):
+            angle = math.pi * (2 * (m + 0.27) / k + 2 * i / d + 0.13)
+            z.append((radius * Decimal(math.cos(angle)),
+                      radius * Decimal(math.sin(angle))))
     return z
 
 
 def aberth_mp(coeffs, dps, init=None, tol_exp=None):
-    """All roots of an ascending mpc coefficient list at ``dps`` digits.
+    """All roots of an ascending list of coefficient pairs at ``dps``
+    digits, as pairs.
 
     The iteration starts from ``init`` when it holds ``d`` distinct points,
     else from the double-precision companion roots when the coefficients
     fit in doubles and the roots are distinct at 12 digits, else from the
-    Newton-polygon circles of ``_newton_polygon_start``.
-    ``tol_exp`` caps the residual demand at 10**-tol_exp; multiple roots
-    converge only linearly, so callers that need limited root accuracy
-    should not pay for the full working precision.
+    Newton-polygon circles of ``_newton_polygon_start``.  A root is
+    accepted when |p(z)| <= 10**-tol_exp * max_i |c_i| |z|^i, tested in
+    log10.  ``tol_exp`` is dps - 4 unless a caller lowers it: multiple
+    roots converge only linearly, so callers that need limited root
+    accuracy should not pay for the full working precision.
     """
-    with mp.workdps(dps):
-        c = [to_mpc(v) for v in coeffs]
-        while c and c[-1] == 0:
+    with _working(dps):
+        c = [_pair(v) for v in coeffs]
+        while c and not (c[-1][0] or c[-1][1]):
             c.pop()
         d = len(c) - 1
         if d < 1:
             return []
-        lead = c[-1]
-        c = [v / lead for v in c]
+        lead = _inverse(c[-1])
+        c = [_mul(v, lead) for v in c[:-1]] + [(Decimal(1), _ZERO)]
         if d == 1:
-            return [-c[0]]
-        dc = [i * c[i] for i in range(1, d + 1)]
-        if tol_exp is None:
-            tol_exp = dps - 4
-        # residual acceptance in log2 via mp.mag and a float scale bound,
-        # which avoids a full-precision scale evaluation per root per step
-        log2_tol = -min(tol_exp, dps - 4) * 3.3219280948873626
-        clog2 = [mp.mag(v) if v != 0 else -(10 ** 9) for v in c]
+            return [(-c[0][0], -c[0][1])]
+        dc = [(i * c[i][0], i * c[i][1]) for i in range(1, d + 1)]
+        log_tol = -min(dps - 4 if tol_exp is None else tol_exp, dps - 4)
+        clog = [max(log10_abs(v), _LOG10_FLOOR) for v in c]
 
-        def log2_scale(zk):
-            la = float(mp.mag(zk)) if zk != 0 else -1e9
-            return max(lc + i * la for i, lc in enumerate(clog2))
+        def log_scale(zk):
+            la = max(log10_abs(zk), _LOG10_FLOOR)
+            return max(lc + i * la for i, lc in enumerate(clog))
 
         z = None
         if init is not None and len(init) == d:
-            z = [to_mpc(v) for v in init]
+            z = [_pair(v) for v in init]
         if z is None or not _distinct(z):
             z = _double_seed(c)
         if z is None or not _distinct(z):
             z = _newton_polygon_start(c)
 
+        tiny = Decimal(10) ** -dps
         for _ in range(400):
-            p = [horner_mp(c, zk) for zk in z]
-            conv = [mp.mag(pk) <= log2_tol + log2_scale(zk) + 2
+            p = [_horner(c, zk) for zk in z]
+            conv = [log10_abs(pk) <= log_tol + log_scale(zk)
                     for pk, zk in zip(p, z)]
             if all(conv):
                 return z
@@ -122,43 +261,49 @@ def aberth_mp(coeffs, dps, init=None, tol_exp=None):
             for k in range(d):
                 if conv[k]:
                     continue
-                dpk = horner_mp(dc, z[k])
-                if dpk == 0:
-                    new_z[k] = z[k] + mp.mpf("0.05") * (1 + abs(z[k]))
+                zr, zi = z[k]
+                dpk = _horner(dc, z[k])
+                if not (dpk[0] or dpk[1]):
+                    new_z[k] = (zr + Decimal("0.05") * (1 + _abs(z[k])), zi)
                     continue
-                w = p[k] / dpk
-                s = mp.mpc(0)
+                wr, wi = _mul(p[k], _inverse(dpk))
+                sr = si = _ZERO
                 for j in range(d):
                     if j != k:
-                        diff = z[k] - z[j]
-                        if diff == 0:
-                            diff = mp.mpf(10) ** (-dps) * (1 + abs(z[k]))
-                        s += 1 / diff
-                denom = 1 - w * s
-                if denom == 0:
-                    denom = mp.mpc(1)
-                new_z[k] = z[k] - w / denom
+                        xr, xi = zr - z[j][0], zi - z[j][1]
+                        if not (xr or xi):
+                            xr = tiny * (1 + _abs(z[k]))
+                        n = xr * xr + xi * xi
+                        sr += xr / n
+                        si -= xi / n
+                # z - w / (1 - w s)
+                dr, di = 1 - (wr * sr - wi * si), -(wr * si + wi * sr)
+                if not (dr or di):
+                    dr = Decimal(1)
+                qr, qi = _mul((wr, wi), _inverse((dr, di)))
+                new_z[k] = (zr - qr, zi - qi)
             z = new_z
 
         # last resort: mpmath's own solver
         try:
-            z = mp.polyroots([v for v in reversed(c)], maxsteps=200,
-                             extraprec=dps * 4)
-            return [to_mpc(v) for v in z]
+            with mp.workdps(dps):
+                roots = mp.polyroots([mp.mpc(str(re), str(im))
+                                      for re, im in reversed(c)],
+                                     maxsteps=200, extraprec=dps * 4)
+            return [_from_mp(v, dps) for v in roots]
         except Exception as exc:  # mp raises bare exceptions on failure
             raise NonConvergence(f"mp root finder failed on degree {d}") from exc
 
 
 def dft_fit_mp(samples, dps):
-    """Coefficients c with samples[k] = sum_d c[d] * w^(k d), w = exp(2 pi i/K)."""
-    with mp.workdps(dps):
-        k_count = len(samples)
-        unity = [mp.expjpi(mp.mpf(-2 * k) / k_count) for k in range(k_count)]
-        values = [to_mpc(s) for s in samples]
+    """Coefficients c with samples[k] = sum_d c[d] * w^(k d), w = exp(2 pi i/K),
+    as pairs: c[d] is the polynomial of the samples at w^-d, over K."""
+    k_count = len(samples)
+    unity = circle_mp(1, k_count, k_count, dps)
+    with _working(dps):
+        values = [_pair(s) for s in samples]
         out = []
         for d in range(k_count):
-            acc = mp.mpc(0)
-            for k, s in enumerate(values):
-                acc += s * unity[(d * k) % k_count]
-            out.append(acc / k_count)
+            re, im = _horner(values, conj(unity[d]))
+            out.append((re / k_count, im / k_count))
         return out

@@ -92,12 +92,13 @@ class TestInstanceCommands:
         ["monodromy", "--f", "[0,0,1]", "--basepoint=a,b"],
         ["monodromy", "--f", "[0,0,1]", "--basepoint=1e400,0"],
         ["monodromy", "--f", "[0,0,1]", "--basepoint=1.5,0.2,99"],
+        ["monodromy", "--f", "[0,0,1]", "--basepoint="],
         ["design-g", "--f", "[0,0,1,1]", "--cycle", "[1,2,-3]", "--n", "4",
          "--targets", "nan"],
         ["experiment", "--m", "3", "--n", "2", "--trials", "-3"],
     ], ids=["schedule-word", "schedule-zero-denominator", "epsilon-word",
             "experiment-zero-denominator", "basepoint-word",
-            "basepoint-overflow", "basepoint-three-parts",
+            "basepoint-overflow", "basepoint-three-parts", "basepoint-empty",
             "design-target-nan", "experiment-negative-trials"])
     def test_malformed_number_exits_2(self, capsys, paper_instance, argv):
         if argv[0] in ("alien", "infinitesimal"):

@@ -1,3 +1,4 @@
+import decimal
 import json
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from cycle_integrals import counting, melnikov
 from cycle_integrals.config import DEFAULT
-from cycle_integrals.cycles import Cycle, random_generic_cycle
+from cycle_integrals.cycles import (Cycle, random_generic_cycle,
+                                    regular_at_infinity)
 from cycle_integrals.errors import IdenticallyZeroIntegral, InputError
 from cycle_integrals.melnikov import (Instance, build_infinitesimal_oracle,
                                       build_tangential_oracle)
@@ -28,6 +30,24 @@ class TestTangentialCount:
         assert not report.sharp
         assert len(report.excluded_near_critical) >= 1
         assert report.symmetry_order_used == 2
+
+    def test_deformation_reduced_once_per_count(self, monkeypatch):
+        # deg f divides deg g: the oracle reduces g, and the certificate
+        # takes the reduced degree from the oracle instead of reducing again
+        calls = []
+        original = melnikov.reduce_deformation
+
+        def counted(f, g):
+            calls.append(g)
+            return original(f, g)
+
+        monkeypatch.setattr(melnikov, "reduce_deformation", counted)
+        monkeypatch.setattr(counting, "reduce_deformation", counted)
+        inst = Instance(RatPoly([Fraction(1, 2), -2, Fraction(1, 3), 1]),
+                        RatPoly([1, 2, -1, 1]), Cycle((1, 2, -3)))
+        report = count_tangential_zeros(inst)
+        assert len(calls) == 1
+        assert report.certificate == regular_at_infinity(inst.cycle, 2).as_dict()
 
     def test_two_point_fiber_closed_form(self):
         # f = z^2, g = z^3 - 3z: the integral is proportional to
@@ -65,6 +85,21 @@ class TestTangentialCount:
         crit = critical_values(inst.f)
         assert build_tangential_oracle(inst).radius == \
             DEFAULT.radius_factor * (1.0 + crit.max_abs)
+
+    def test_count_leaves_the_decimal_context_alone(self):
+        # trial 14 settles at 40 digits; the kernel evaluates under a
+        # context of its own, so a coarse caller context neither changes
+        # the count nor is changed by it
+        inst = Instance(RatPoly([3, -9, -1, -5, 1]),
+                        RatPoly([-7, 1, -8, Fraction(-7, 3)]), Cycle((-3, 7, -8, 4)))
+        caller = decimal.Context(prec=6, rounding=decimal.ROUND_FLOOR,
+                                 traps=[decimal.Inexact])
+        with decimal.localcontext(caller) as ctx:
+            before = repr(ctx)
+            report = count_tangential_zeros(inst)
+            assert decimal.getcontext() is ctx
+            assert repr(ctx) == before
+        assert report.count == 18 and report.precision_dps == 40
 
     def test_double_zero_next_to_critical_value_kept_apart(self):
         # a sign-symmetric cycle: every zero is double.  One sits 3.4e-4

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from cycle_integrals.melnikov import (Instance, _fit, _fitted_degree,
                                       design_g_with_zeros, displacement,
                                       reduce_deformation)
 from cycle_integrals.poly import RatPoly, critical_values
+from cycle_integrals.precision import product_mp, to_complex, to_pairs
 from cycle_integrals.tracking import solve_fiber
 
 PAPER_F = RatPoly([0, 0, 1, 1])        # z^3 + z^2
@@ -202,7 +204,7 @@ class TestTangentialOracle:
         # a top coefficient 1e-20 below the largest is noise in doubles
         # but well above the floor of a 40-digit fit
         coeffs = [1, 0.5, 1e-20]
-        assert _fitted_degree(coeffs, 1e-38, 1, dps=40) == 2
+        assert _fitted_degree(to_pairs(coeffs, 40), 1e-38, 1, dps=40) == 2
         assert _fitted_degree(coeffs, 1e-38, 1) == 1
 
     def test_fit_agrees_across_precisions(self):
@@ -215,9 +217,28 @@ class TestTangentialOracle:
         for dps in (None, 40):
             coeffs, _, _ = _fit(sampler, oracle.declared_degree_bound,
                                 oracle.radius, dps)
-            coeffs = np.array([complex(c) for c in coeffs])
+            coeffs = np.array([complex(c) if dps is None else to_complex(c)
+                               for c in coeffs])
             fits.append(coeffs / np.max(np.abs(coeffs)))
         assert np.max(np.abs(fits[0] - fits[1])) <= 1e-10
+
+    def test_extended_fits_carry_their_working_precision(self):
+        # the fits of trial 0 at 40 and 80 digits, each normalised by its
+        # largest coefficient, agree to 1e-35, and the DFT tail of each is
+        # at the noise of its own precision: a kernel that ran either rung
+        # at fewer digits would fail one or the other
+        oracle = build_tangential_oracle(TRIAL0)
+        fits = []
+        with mp.workdps(100):
+            for dps in (40, 80):
+                coeffs, _, residual = _fit(_sampler(TRIAL0),
+                                           oracle.declared_degree_bound,
+                                           oracle.radius, dps)
+                assert residual <= 10.0 ** (8 - dps)
+                coeffs = [mp.mpc(str(re), str(im)) for re, im in coeffs]
+                top = max(coeffs, key=abs)
+                fits.append([c / top for c in coeffs])
+            assert max(abs(a - b) for a, b in zip(*fits)) <= mp.mpf("1e-35")
 
     def test_rejected_zeros_climb_the_whole_ladder(self, monkeypatch):
         # a rung whose zeros fail verification is never accepted; the
@@ -305,9 +326,15 @@ class TestHalfCircleSampling:
 
         def sample(turns):
             turn = mp.expjpi(turns)
-            t = radius * (complex(turn) if dps is None else turn)
+            if dps is None:
+                t = radius * complex(turn)
+            else:
+                t = tuple(Decimal(mp.nstr(radius * x, dps + 10))
+                          for x in (turn.real, turn.imag))
             factors, _ = sampler.factors(sampler.fiber(t, dps), dps)
-            return complex(np.prod(factors)) if dps is None else mp.fprod(factors)
+            if dps is None:
+                return complex(np.prod(factors))
+            return mp.mpc(*(str(x) for x in product_mp(factors, dps)))
 
         with mp.workdps(dps or 15):
             for q in (1, 2, 3):

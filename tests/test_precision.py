@@ -1,6 +1,19 @@
+from decimal import Decimal
+
 import mpmath as mp
 
-from cycle_integrals.precision import _double_seed, aberth_mp, horner_mp
+from cycle_integrals.precision import _double_seed, aberth_mp, dft_fit_mp, horner_mp
+
+
+def _pairs(values):
+    """mpmath numbers as the kernel's (re, im) pairs of Decimals."""
+    digits = mp.mp.dps + 10
+    return [(Decimal(mp.nstr(mp.re(v), digits)),
+             Decimal(mp.nstr(mp.im(v), digits))) for v in values]
+
+
+def _mpcs(pairs):
+    return [mp.mpc(str(re), str(im)) for re, im in pairs]
 
 
 def _poly_from_roots(roots):
@@ -32,7 +45,8 @@ def _within_residual(coeffs, roots, dps):
     tol = mp.mpf(10) ** (-(dps - 8))
     for z in roots:
         scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
-        if abs(horner_mp(coeffs, z)) > tol * scale:
+        value = _mpcs([horner_mp(_pairs(coeffs), _pairs([z])[0], dps)])[0]
+        if abs(value) > tol * scale:
             return False
     return True
 
@@ -46,8 +60,8 @@ class TestAberthMp:
             coeffs = _poly_from_roots(roots)
             monic = [c / coeffs[-1] for c in coeffs]
             # the cold start takes the double-precision companion roots
-            assert _double_seed(monic) is not None
-            found = aberth_mp(coeffs, dps)
+            assert _double_seed(_pairs(monic)) is not None
+            found = _mpcs(aberth_mp(_pairs(coeffs), dps))
             reference = mp.polyroots(coeffs[::-1], maxsteps=200,
                                      extraprec=4 * dps)
             assert len(found) == 13
@@ -59,8 +73,8 @@ class TestAberthMp:
         dps = 60
         with mp.workdps(dps):
             coeffs = [mp.mpc(c) for c in ("1e-400", -1, 0, 0, 0, 0, 1)]
-            assert _double_seed(coeffs) is None
-            found = aberth_mp(coeffs, dps)
+            assert _double_seed(_pairs(coeffs)) is None
+            found = _mpcs(aberth_mp(_pairs(coeffs), dps))
             assert len(found) == 6
             assert _within_residual(coeffs, found, dps)
             tiny = min(found, key=abs)
@@ -75,8 +89,8 @@ class TestAberthMp:
         with mp.workdps(dps):
             big = mp.mpf("1e400")
             coeffs = [mp.mpc(big), mp.mpc(-1), mp.mpc(-big), mp.mpc(1)]
-            assert _double_seed(coeffs) is None
-            found = aberth_mp(coeffs, dps)
+            assert _double_seed(_pairs(coeffs)) is None
+            found = _mpcs(aberth_mp(_pairs(coeffs), dps))
             assert _within_residual(coeffs, found, dps)
             assert _match(found, [big, mp.mpf(1), mp.mpf(-1)],
                           mp.mpf(10) ** -40)
@@ -87,7 +101,7 @@ class TestAberthMp:
             roots = [mp.mpc(1), mp.mpc(1), mp.mpc(-2), mp.mpc(0, 1),
                      mp.mpc(3, -1)]
             coeffs = _poly_from_roots(roots)
-            found = aberth_mp(coeffs, dps)
+            found = _mpcs(aberth_mp(_pairs(coeffs), dps))
             assert len(found) == 5
             # a double root is only determined to about half the digits
             assert sum(abs(z - 1) < 1e-15 for z in found) == 2
@@ -105,8 +119,8 @@ class TestNewtonPolygonStart:
         with mp.workdps(self.dps):
             coeffs = [mp.mpc(c) for c in coeffs]
             # no double seed: the fallback start is the only one
-            assert _double_seed([c / coeffs[-1] for c in coeffs]) is None
-            found = aberth_mp(coeffs, self.dps)
+            assert _double_seed(_pairs([c / coeffs[-1] for c in coeffs])) is None
+            found = _mpcs(aberth_mp(_pairs(coeffs), self.dps))
             assert len(found) == len(expected)
             assert _within_residual(coeffs, found, self.dps)
             assert _match(found, expected, mp.mpf(10) ** -40)
@@ -143,7 +157,25 @@ class TestNewtonPolygonStart:
         # start applies and puts the double root exactly at 0
         with mp.workdps(self.dps):
             coeffs = [mp.mpc(c) for c in (0, 0, -1, 0, 0, 0, 1)]
-            found = aberth_mp(coeffs, self.dps)
+            found = _mpcs(aberth_mp(_pairs(coeffs), self.dps))
             assert sum(z == 0 for z in found) == 2
             assert _match([z for z in found if z != 0], self._ring(1, 4, 0),
                           mp.mpf(10) ** -40)
+
+
+class TestDftFitMp:
+    def test_recovers_polynomial_from_samples(self):
+        # samples of a degree-7 polynomial at the 12th roots of unity, made
+        # 20 digits beyond the working precision; the coefficients above
+        # the degree come back as zeros
+        dps, k_count = 40, 12
+        with mp.workdps(dps + 20):
+            coeffs = [mp.mpc(k - 3, 2 * k + 1) / (k + 1) ** 3 for k in range(8)]
+            coeffs += [mp.mpc(0)] * (k_count - len(coeffs))
+            samples = [mp.polyval(coeffs[::-1], mp.expjpi(mp.mpf(2 * k) / k_count))
+                       for k in range(k_count)]
+            found = _mpcs(dft_fit_mp(_pairs(samples), dps))
+            top = max(abs(c) for c in coeffs)
+            assert len(found) == k_count
+            assert max(abs(a - b) for a, b in zip(found, coeffs)) \
+                <= mp.mpf(10) ** (3 - dps) * top

@@ -55,6 +55,25 @@ def test_no_settings_parameter():
     assert not offenders, offenders
 
 
+def test_extended_precision_has_one_home():
+    # extended-precision arithmetic lives in precision.py: no other package
+    # module imports decimal or mpmath
+    offenders = []
+    for path, tree in _package_trees():
+        if path.name == "precision.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] in ("decimal", "mpmath")]
+    assert not offenders, offenders
+
+
 def test_no_precision_twins():
     # one code path serves every precision: no module defines two
     # functions or methods whose names differ only by a precision suffix
