@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 precondition/validation failure (the message
 names the failing certificate or field), 3 numerical failure (the oracle
 fit failed at every precision of its ladder, or a continuation could not
 be certified).  Every report embeds the numerical constants of
-``config.DEFAULT``, which no flag overrides, and the seed for
-reproducibility.
+``config.DEFAULT``, which no flag overrides, and a seed: the one given to
+``experiment``, the only command that draws random inputs; the instance
+file's for ``tangential``, ``infinitesimal`` and ``alien``; 0 otherwise.
 """
 
 import argparse
@@ -31,7 +32,6 @@ from .tracking import monodromy
 
 def _add_common(parser):
     parser.add_argument("--output", help="write the JSON report here instead of stdout")
-    parser.add_argument("--seed", type=int, default=None, help="random seed override")
 
 
 def _build_parser():
@@ -105,6 +105,7 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--cycle-mode", choices=["generic", "simple"], default="generic")
     p.add_argument("--epsilon", default="1/100")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
 
     p = sub.add_parser("plot-data", help="point sets from a prior report")
@@ -114,7 +115,7 @@ def _build_parser():
     return parser
 
 
-def _emit(args, payload, seed):
+def _emit(args, payload, seed=0):
     payload["config"] = DEFAULT.as_dict()
     payload["seed"] = seed
     text = dump_report(payload, args.output)
@@ -163,8 +164,6 @@ def _parse_basepoint(text):
 
 def _cmd_tangential(args):
     inst, seed = load_instance(args.instance)
-    if args.seed is not None:
-        seed = args.seed
     report = count_tangential_zeros(inst)
     payload = {"command": "tangential",
                "instance": instance_to_dict(inst, seed),
@@ -174,8 +173,6 @@ def _cmd_tangential(args):
 
 def _cmd_infinitesimal(args):
     inst, seed = load_instance(args.instance)
-    if args.seed is not None:
-        seed = args.seed
     if args.epsilon is not None:
         inst = replace(inst, epsilon=parse_rational(args.epsilon, "--epsilon"))
     report = count_infinitesimal_zeros(inst)
@@ -187,8 +184,6 @@ def _cmd_infinitesimal(args):
 
 def _cmd_alien(args):
     inst, seed = load_instance(args.instance)
-    if args.seed is not None:
-        seed = args.seed
     schedule = parse_fraction_list(args.schedule)
     if inst.epsilon is None:
         inst = replace(inst, epsilon=schedule[-1])
@@ -204,7 +199,7 @@ def _cmd_bounds(args):
                "result": {"tangential": bound_tangential(args.m, args.n),
                           "infinitesimal": bound_infinitesimal(args.m, args.n),
                           "simple": bound_simple(args.m, args.n)}}
-    return _emit(args, payload, args.seed or 0)
+    return _emit(args, payload)
 
 
 def _cmd_certify(args):
@@ -218,7 +213,7 @@ def _cmd_certify(args):
                           "symmetry_order": group.order,
                           "is_simple": cycle.is_simple,
                           "is_asymmetric": group.order == 1}}
-    return _emit(args, payload, args.seed or 0)
+    return _emit(args, payload)
 
 
 def _cmd_reduce(args):
@@ -230,7 +225,7 @@ def _cmd_reduce(args):
                           "degree": g_tilde.degree,
                           "subtracted": [{"coefficient": str(a), "power": k}
                                          for a, k in subtracted]}}
-    return _emit(args, payload, args.seed or 0)
+    return _emit(args, payload)
 
 
 def _cmd_monodromy(args):
@@ -241,7 +236,7 @@ def _cmd_monodromy(args):
                     ordering="real" if args.real_order else "lex")
     payload = {"command": "monodromy", "f": [str(c) for c in f.coeffs],
                "result": rep.as_dict()}
-    return _emit(args, payload, args.seed or 0)
+    return _emit(args, payload)
 
 
 def _cmd_brieskorn(args):
@@ -262,7 +257,7 @@ def _cmd_brieskorn(args):
         m = args.m
         result["dimension"] = brieskorn_dimension(m, args.n)
     payload = {"command": "brieskorn", "m": m, "n": args.n, "result": result}
-    return _emit(args, payload, args.seed or 0)
+    return _emit(args, payload)
 
 
 def _cmd_design(args):
@@ -274,17 +269,16 @@ def _cmd_design(args):
                "result": {"g": [[repr(c.real), repr(c.imag)] for c in g.coeffs],
                           "targets": [[repr(t.real), repr(t.imag)] for t in targets],
                           "dimension": brieskorn_dimension(f.degree, args.n)}}
-    return _emit(args, payload, args.seed or 0)
+    return _emit(args, payload)
 
 
 def _cmd_experiment(args):
-    seed = args.seed if args.seed is not None else 0
     summary = run_sharpness_experiment(
-        args.m, args.n, args.kind, args.trials, seed,
+        args.m, args.n, args.kind, args.trials, args.seed,
         cycle_mode=args.cycle_mode,
         epsilon=parse_rational(args.epsilon, "--epsilon"))
     payload = {"command": "experiment", "result": summary}
-    return _emit(args, payload, seed)
+    return _emit(args, payload, args.seed)
 
 
 def _plot_rows(report):
@@ -327,7 +321,7 @@ def _cmd_plot_data(args):
         payload = {"command": "plot-data",
                    "result": {"header": header,
                               "rows": [list(r) for r in rows]}}
-        return _emit(args, payload, args.seed or 0)
+        return _emit(args, payload)
     lines = [",".join(header)]
     lines += [",".join(str(v) for v in row) for row in rows]
     text = "\n".join(lines)

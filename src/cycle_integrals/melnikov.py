@@ -21,12 +21,14 @@ a sign-symmetric product starts at 40 digits.  Every rung runs the same
 fit loop.  A double rung runs on numpy; a rung of 40 digits or more runs
 its fiber solves, factor evaluations, sample products, DFT, noise floors
 and root extraction on the (re, im) Decimal pairs of ``precision``, the
-one extended-precision kernel.  A rung is accepted when
-every extracted zero passes the ring test against the branches and, for
-a sign-symmetric product, every regular zero cluster has even size; this
-module alone decides zero multiplicities.  A double-precision fit is
-accepted only at the full declared degree; a fit at 40 digits or more may
-be shorter than the bound.  A product that vanishes identically raises
+one extended-precision kernel, on ``decimal``.  Each fiber solve and each
+extraction at 40 digits or more accepts a root by one residual test, or
+raises NonConvergence.  A rung is accepted when every extracted zero
+passes the ring test against the branches and, for a sign-symmetric
+product, every regular zero cluster has even size; this module alone
+decides zero multiplicities.  A double-precision fit is accepted only at
+the full declared degree; a fit at 40 digits or more may be shorter than
+the bound.  A product that vanishes identically raises
 IdenticallyZeroIntegral where it is seen: g reducing to zero, or a fit.
 """
 

@@ -3,10 +3,10 @@
 ``RatPoly`` is the exact layer (arbitrary-precision rationals, no rounding
 anywhere); ``ComplexPoly`` is its numeric mirror and the only lossy step.
 Every double-precision root solve runs one simultaneous Aberth-Ehrlich
-kernel on Python complex scalars, with a companion-matrix fallback, except
-two that call ``np.roots`` directly: ``melnikov._build_oracle`` extracts
-the zeros of a double-precision fit with it, and ``precision._double_seed``
-seeds ``precision.aberth_mp`` with it.
+kernel on Python complex scalars, with a companion-matrix fallback held to
+the same residual test, except two that call ``np.roots`` directly:
+``melnikov._build_oracle`` extracts the zeros of a double-precision fit
+with it, and ``precision._double_seed`` seeds ``precision.aberth_mp``.
 The oracles and the continuation in epsilon solve fibers of at most
 ``oracle_fiber_cap`` (6) points, where numpy's per-call overhead on arrays
 of a few entries would cost more than the arithmetic.  A step costs d^2
@@ -321,9 +321,9 @@ def roots_raw(coeffs, init=None):
     Runs the scalar Aberth-Ehrlich kernel from ``init`` when it holds d
     points distinct at 14 decimals, else from a circle enclosing the roots.
     If that does not converge, the kernel polishes the companion-matrix
-    eigenvalues for up to 50 steps instead; if that fails too, the result
-    is accepted at a 1e4 times looser residual, and NonConvergence is
-    raised otherwise.  Returns an ndarray of the d roots.
+    eigenvalues for up to 50 steps instead, at the same residual test, and
+    NonConvergence is raised when that fails too.  Returns an ndarray of
+    the d roots.
     """
     coeffs = [complex(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -352,11 +352,6 @@ def roots_raw(coeffs, init=None):
     # companion fallback (numpy expects descending order)
     z = np.roots(np.array(coeffs[::-1]))
     z, ok = _aberth(coeffs, z, tol, 50)
-    if ok:
-        return z
-    # accept a slightly looser residual before giving up: a one-step run
-    # reports converged only if its first residual test passes
-    z, ok = _aberth(coeffs, z, 1e4 * tol, 1)
     if ok:
         return z
     raise NonConvergence(f"root finder failed on degree {d}")

@@ -4,24 +4,23 @@ the oracle fit, its fiber solves and its root extraction.
 A number at ``dps`` digits is a pair (re, im) of ``decimal.Decimal``.
 Every function that takes ``dps`` evaluates under a ``decimal.Context``
 built here: dps + 2 digits, rounding half-even and the widest exponent
-range, so values from 1e-400 to 1e400 need no scaling.  dps + 2 digits
-carry at least the working precision mpmath gives ``dps`` digits,
-round((dps + 1) * log2(10)) bits (136 bits, about 40.9 digits, at 40).
-The context is entered with ``decimal.localcontext`` on a copy, so the
-caller's context is neither read nor changed.  ``decimal`` runs on
-libmpdec, in C; mpmath computes only what is done once per fit (the roots
-of unity of the sampling circle and of the DFT) and the last-resort
-``mp.polyroots``.  A cold-start root solve begins from the
-companion-matrix roots of the coefficients rounded to doubles, so the
-iteration only polishes them.
+range, so values from 1e-400 to 1e400 need no scaling.  The context is
+entered with ``decimal.localcontext`` on a copy, so the caller's context
+is neither read nor changed.  ``decimal`` runs on libmpdec, in C, and is
+the one extended-precision library: the roots of unity of the sampling
+circle and of the DFT are the double values refined by Newton's
+iteration, cached once per (count, dps).  A cold-start root solve begins
+from the companion-matrix roots of the coefficients rounded to doubles,
+so the iteration only polishes them.
 """
 
+import cmath
 import decimal
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import NonConvergence
@@ -52,12 +51,6 @@ def _pair(x):
         return Decimal(x.numerator) / Decimal(x.denominator), _ZERO
     x = complex(x)
     return +Decimal(x.real), +Decimal(x.imag)
-
-
-def _from_mp(x, dps):
-    """An mpc or mpf as a pair rounded to the current context."""
-    return (+Decimal(mp.nstr(mp.re(x), dps + 4)),
-            +Decimal(mp.nstr(mp.im(x), dps + 4)))
 
 
 def _horner(coeffs, z):
@@ -118,18 +111,38 @@ def shifted(coeffs, t, dps):
         return ((c0[0] - t[0], c0[1] - t[1]),) + tuple(coeffs[1:])
 
 
-def circle_mp(radius, count, stop, dps):
-    """radius * exp(2 pi i k / count) for k < ``stop``, as pairs."""
-    with _working(dps), mp.workdps(dps + 4):
-        r = Decimal(radius)
-        return [(r * re, r * im) for re, im in (
-            _from_mp(mp.expjpi(mp.mpf(2 * k) / count), dps) for k in range(stop))]
-
-
-def horner_mp(coeffs, z, dps):
-    """sum_i coeffs[i] z^i at ``dps`` digits."""
+@functools.cache
+def _unity(count, dps):
+    """exp(2 pi i k / count) for k < count, as pairs.  Up to k = count / 2
+    each entry is its double value refined by Newton's step
+    z - (z - z^(1 - count)) / count on z^count = 1, until count |s|^2, about
+    the error a step s leaves, is below the last digit; the entries past
+    count / 2 are the conjugates of those before it.  Every fit at one
+    (count, dps) reads the same table, so it is built once."""
     with _working(dps):
-        return _horner(coeffs, z)
+        tiny = Decimal(10) ** -(dps + 2)
+        table = []
+        for k in range(count // 2 + 1):
+            z, s2 = _pair(cmath.exp(2j * math.pi * k / count)), 1
+            while count * s2 >= tiny:
+                power, base, e = (Decimal(1), _ZERO), z, count - 1
+                while e:
+                    power = _mul(power, base) if e & 1 else power
+                    base, e = _mul(base, base), e >> 1
+                inv = _inverse(power)
+                s = (z[0] - inv[0]) / count, (z[1] - inv[1]) / count
+                z, s2 = (z[0] - s[0], z[1] - s[1]), s[0] * s[0] + s[1] * s[1]
+            table.append(z)
+        return tuple(table + [conj(table[count - k])
+                              for k in range(len(table), count)])
+
+
+def circle_mp(radius, count, stop, dps):
+    """radius * exp(2 pi i k / count) for k < ``stop``, as pairs: radius
+    times the first ``stop`` entries of the cached roots-of-unity table."""
+    with _working(dps):
+        r = Decimal(radius)
+        return [(r * re, r * im) for re, im in _unity(count, dps)[:stop]]
 
 
 def weighted_sums(coeffs, points, weights, patterns, dps):
@@ -221,7 +234,8 @@ def aberth_mp(coeffs, dps, init=None, tol_exp=None):
     accepted when |p(z)| <= 10**-tol_exp * max_i |c_i| |z|^i, tested in
     log10.  ``tol_exp`` is dps - 4 unless a caller lowers it: multiple
     roots converge only linearly, so callers that need limited root
-    accuracy should not pay for the full working precision.
+    accuracy should not pay for the full working precision.  Raises
+    NonConvergence when some root is still not accepted after 400 steps.
     """
     with _working(dps):
         c = [_pair(v) for v in coeffs]
@@ -283,23 +297,15 @@ def aberth_mp(coeffs, dps, init=None, tol_exp=None):
                 qr, qi = _mul((wr, wi), _inverse((dr, di)))
                 new_z[k] = (zr - qr, zi - qi)
             z = new_z
-
-        # last resort: mpmath's own solver
-        try:
-            with mp.workdps(dps):
-                roots = mp.polyroots([mp.mpc(str(re), str(im))
-                                      for re, im in reversed(c)],
-                                     maxsteps=200, extraprec=dps * 4)
-            return [_from_mp(v, dps) for v in roots]
-        except Exception as exc:  # mp raises bare exceptions on failure
-            raise NonConvergence(f"mp root finder failed on degree {d}") from exc
+        raise NonConvergence(f"root finder failed on degree {d} at {dps} digits")
 
 
 def dft_fit_mp(samples, dps):
     """Coefficients c with samples[k] = sum_d c[d] * w^(k d), w = exp(2 pi i/K),
-    as pairs: c[d] is the polynomial of the samples at w^-d, over K."""
+    as pairs: c[d] is the polynomial of the samples at w^-d, over K, with
+    w^-d read from the cached roots-of-unity table."""
     k_count = len(samples)
-    unity = circle_mp(1, k_count, k_count, dps)
+    unity = _unity(k_count, dps)
     with _working(dps):
         values = [_pair(s) for s in samples]
         out = []

@@ -29,6 +29,7 @@ class TestBounds:
         data = json.loads(out)
         assert data["result"] == {"tangential": 8, "infinitesimal": 18,
                                   "simple": 3}
+        assert data["seed"] == 0
 
 
 class TestReduce:
@@ -83,6 +84,19 @@ class TestInstanceCommands:
             main(["tangential", "--instance", paper_instance, flag, "200"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--m", "3", "--n", "4"],
+        ["tangential"],
+    ], ids=["bounds", "tangential"])
+    def test_seed_flag_rejected(self, capsys, paper_instance, argv):
+        # only `experiment` draws random inputs, so only it takes a seed
+        if argv[0] == "tangential":
+            argv = argv + ["--instance", paper_instance]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["alien", "--schedule", "1/50,abc"],

@@ -1,8 +1,10 @@
 from decimal import Decimal
 
 import mpmath as mp
+import pytest
 
-from cycle_integrals.precision import _double_seed, aberth_mp, dft_fit_mp, horner_mp
+from cycle_integrals.precision import (_double_seed, _unity, aberth_mp,
+                                       circle_mp, dft_fit_mp)
 
 
 def _pairs(values):
@@ -45,8 +47,7 @@ def _within_residual(coeffs, roots, dps):
     tol = mp.mpf(10) ** (-(dps - 8))
     for z in roots:
         scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
-        value = _mpcs([horner_mp(_pairs(coeffs), _pairs([z])[0], dps)])[0]
-        if abs(value) > tol * scale:
+        if abs(mp.polyval(coeffs[::-1], z)) > tol * scale:
             return False
     return True
 
@@ -179,3 +180,26 @@ class TestDftFitMp:
             assert len(found) == k_count
             assert max(abs(a - b) for a, b in zip(found, coeffs)) \
                 <= mp.mpf(10) ** (3 - dps) * top
+
+
+class TestRootsOfUnity:
+    @pytest.mark.parametrize("dps", [40, 80, 160, 320])
+    @pytest.mark.parametrize("count", [8, 38, 130])
+    def test_table_matches_expjpi(self, count, dps):
+        table = _unity(count, dps)
+        assert len(table) == count
+        with mp.workdps(dps + 20):
+            worst = max(abs(z - mp.expjpi(mp.mpf(2 * k) / count))
+                        for k, z in enumerate(_mpcs(table)))
+            assert worst <= mp.mpf(10) ** -(dps + 1)
+
+    @pytest.mark.parametrize("dps", [40, 160])
+    def test_circle_is_radius_times_table(self, dps):
+        radius, count, stop = 2.75, 38, 20
+        circle = circle_mp(radius, count, stop, dps)
+        assert len(circle) == stop
+        with mp.workdps(dps + 20):
+            unit = _mpcs(_unity(count, dps)[:stop])
+            assert max(abs(z - radius * u)
+                       for z, u in zip(_mpcs(circle), unit)) \
+                <= radius * mp.mpf(10) ** -(dps + 1)

@@ -1,7 +1,11 @@
 import ast
 import dataclasses
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cycle_integrals
@@ -56,12 +60,11 @@ def test_no_settings_parameter():
 
 
 def test_extended_precision_has_one_home():
-    # extended-precision arithmetic lives in precision.py: no other package
-    # module imports decimal or mpmath
+    # extended-precision arithmetic lives in precision.py and runs on
+    # decimal: no other package module imports decimal, and none imports
+    # mpmath, which the tests keep only as their reference
     offenders = []
     for path, tree in _package_trees():
-        if path.name == "precision.py":
-            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -70,8 +73,35 @@ def test_extended_precision_has_one_home():
             else:
                 continue
             offenders += [f"{path.name}:{node.lineno} {name}" for name in names
-                          if name.split(".")[0] in ("decimal", "mpmath")]
+                          if name.split(".")[0] == "mpmath"
+                          or (name.split(".")[0] == "decimal"
+                              and path.name != "precision.py")]
     assert not offenders, offenders
+
+
+def test_the_program_runs_without_mpmath(tmp_path):
+    # a fresh interpreter counts the tangential zeros of trial 0 of the
+    # seed-2026 (4,3) suite, whose oracle settles at 40 digits, and never
+    # loads mpmath
+    instance, report = tmp_path / "draw.json", tmp_path / "out.json"
+    instance.write_text(json.dumps(
+        {"f": ["10/3", -2, 10, "7/3", 1], "g": [-2, -4, -3, -2],
+         "cycle": [7, 4, -6, -5], "epsilon": None, "seed": 0,
+         "precision_bits": None}))
+    script = (
+        "import sys\n"
+        "import cycle_integrals\n"
+        "from cycle_integrals.cli import main\n"
+        f"code = main(['tangential', '--instance', {str(instance)!r},\n"
+        f"             '--output', {str(report)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'mpmath' not in sys.modules\n")
+    src = str(Path(cycle_integrals.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(report.read_text())["result"]["precision_dps"] == 40
 
 
 def test_no_precision_twins():
