@@ -115,12 +115,22 @@ def _build_parser():
     return parser
 
 
+def _write(text, path):
+    """Print ``text``, or write it and a final newline to ``path``."""
+    if path is None:
+        print(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write --output {path}: {exc}") from exc
+
+
 def _emit(args, payload, seed=0):
     payload["config"] = DEFAULT.as_dict()
     payload["seed"] = seed
-    text = dump_report(payload, args.output)
-    if args.output is None:
-        print(text)
+    _write(dump_report(payload), args.output)
     return 0
 
 
@@ -324,12 +334,7 @@ def _cmd_plot_data(args):
         return _emit(args, payload)
     lines = [",".join(header)]
     lines += [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.output)
     return 0
 
 

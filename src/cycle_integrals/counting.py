@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .config import DEFAULT
 from .cycles import (bound_infinitesimal, bound_tangential, random_generic_cycle,
@@ -177,22 +176,23 @@ class _Branch:
     """
 
     def __init__(self, inst, t, eps):
-        self.f = np.array(inst.f.to_complex().coeffs)
-        self.g = np.array(inst.g.to_complex().coeffs)
-        self.df = npoly.polyder(self.f)
-        self.dg = npoly.polyder(self.g)
+        self.f = inst.f.to_complex()
+        self.g = inst.g.to_complex()
+        self.df = inst.f.derivative().to_complex()
+        self.dg = inst.g.derivative().to_complex()
         self.weights = np.array(inst.cycle.weights, dtype=float)
         roots = self._fiber(t, eps)
         self.slots = list(min(
             itertools.permutations(range(len(roots)), len(self.weights)),
-            key=lambda s: abs(self.weights @ npoly.polyval(roots[list(s)], self.g))))
+            key=lambda s: abs(self.weights @ self.g.evaluate(roots[list(s)]))))
         self.start = self.advance(_Point(eps, t, roots, 0j), eps)
         if self.start is None:
             raise BranchMatchingAmbiguous(
                 f"the displacement zero {t} does not lie on a certified branch")
 
     def _fiber(self, t, eps, init=None):
-        coeffs = npoly.polyadd(self.f, eps * self.g)
+        coeffs = [a + eps * b for a, b in itertools.zip_longest(
+            self.f.coeffs, self.g.coeffs, fillvalue=0j)]
         coeffs[0] -= t
         return roots_raw(coeffs, init=init)
 
@@ -216,9 +216,9 @@ class _Branch:
                 return None
             roots = new[order]
             z = roots[self.slots]
-            gz = npoly.polyval(z, self.g)
-            dgz = npoly.polyval(z, self.dg)
-            dzdt = 1.0 / (npoly.polyval(z, self.df) + eps * dgz)
+            gz = self.g.evaluate(z)
+            dgz = self.dg.evaluate(z)
+            dzdt = 1.0 / (self.df.evaluate(z) + eps * dgz)
             g_t = self.weights @ (dgz * dzdt)
             if g_t == 0:
                 return None
@@ -384,8 +384,6 @@ def _random_morse_poly(rng, m, _unused=None):
     for _ in range(60):
         coeffs = [_random_rational(rng) for _ in range(m)] + [Fraction(1)]
         f = RatPoly(coeffs)
-        if f.degree != m:
-            continue
         try:
             crit = critical_values(f)
         except CycleIntegralsError:
@@ -443,6 +441,8 @@ def run_sharpness_experiment(m, n, kind, trials, seed, cycle_mode="generic",
         raise InputError(f"unknown experiment kind {kind!r}")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    if kind == "infinitesimal" and Fraction(epsilon) == 0:
+        raise InputError("infinitesimal counting requires a nonzero epsilon")
     effective_mode = "simple" if (cycle_mode == "simple" or m == 2) else "generic"
     counts = []
     failures = []

@@ -170,12 +170,10 @@ def product_mp(values, dps):
 
 
 def normalized(values, dps):
-    """``values`` divided by their largest modulus (unchanged when all are
-    0)."""
+    """``values`` divided by their largest modulus, which is not 0: a fit
+    whose samples all vanish raises IdenticallyZeroIntegral first."""
     with _working(dps):
         top = max(_abs(v) for v in values)
-        if not top:
-            return list(values)
         return [(v[0] / top, v[1] / top) for v in values]
 
 

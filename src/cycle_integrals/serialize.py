@@ -82,14 +82,9 @@ def instance_to_dict(inst, seed=0):
     }
 
 
-def dump_report(report, path=None):
+def dump_report(report):
     """Serialize a report dict deterministically (sorted keys, repr floats)."""
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    if path is None:
-        return text
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    return text
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 
 def load_report(path):

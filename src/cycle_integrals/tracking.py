@@ -37,8 +37,8 @@ class MonodromyRep:
 
     A permutation p means the root starting at index i ends at index p[i].
     Loops are stored counterclockwise by argument from the basepoint, and
-    composing them in storage order equals the inverse of the loop around
-    infinity.
+    their permutations, applied from the last stored loop to the first,
+    give the permutation of the loop around infinity.
     """
 
     basepoint: complex
@@ -201,9 +201,8 @@ def _permutation(fiber_start, fiber_end):
 
     Both fibers sit over the same t, so the end roots are a permutation of
     the start roots; p[i] names the root whose continuation arrived at
-    start slot i.  The convention is fixed and self-consistent: composing
-    stored loop permutations in storage order equals the inverse of the
-    stored infinity permutation.
+    start slot i.  In this convention the stored loop permutations,
+    applied from last to first, give the stored infinity permutation.
     """
     perm = _nearest(fiber_start.roots, fiber_end.roots)
     if perm is None:
@@ -214,13 +213,6 @@ def _permutation(fiber_start, fiber_end):
 def _compose(first, second):
     """Apply ``first`` then ``second``."""
     return tuple(second[first[i]] for i in range(len(first)))
-
-
-def _inverse(perm):
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
 
 
 def _circle(center, radius, start_angle, segments, turns=1.0):
@@ -291,8 +283,10 @@ def monodromy(f, basepoint=None, ordering="lex"):
     """Monodromy representation of f from keyhole loops.
 
     Loops are sorted counterclockwise by argument seen from the basepoint;
-    composing their permutations in that order gives the inverse of the
-    permutation of the loop around infinity.
+    their permutations, applied from the last loop to the first, give the
+    permutation of the loop around infinity.  This holds for every loop,
+    including the non-involutive loops of degenerate or merged critical
+    values (a 3-cycle around the one critical value of x^3).
     """
     if f.degree < 2:
         raise InputError("monodromy requires deg f >= 2")
@@ -327,10 +321,10 @@ def monodromy(f, basepoint=None, ordering="lex"):
     end = track_path(fiber0, waypoints, critical)
     infinity_perm = _permutation(fiber0, end)
 
-    composed = loops[0][1] if loops else tuple(range(f.degree))
-    for _, perm in loops[1:]:
+    composed = tuple(range(f.degree))
+    for _, perm in reversed(loops):
         composed = _compose(composed, perm)
-    if composed != _inverse(infinity_perm):
+    if composed != infinity_perm:
         raise NumericalError("monodromy composition consistency failed")
 
     return MonodromyRep(basepoint=t0, fiber=fiber0, loops=tuple(loops),

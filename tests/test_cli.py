@@ -110,10 +110,13 @@ class TestInstanceCommands:
         ["design-g", "--f", "[0,0,1,1]", "--cycle", "[1,2,-3]", "--n", "4",
          "--targets", "nan"],
         ["experiment", "--m", "3", "--n", "2", "--trials", "-3"],
+        ["experiment", "--m", "3", "--n", "2", "--kind", "infinitesimal",
+         "--epsilon", "0"],
     ], ids=["schedule-word", "schedule-zero-denominator", "epsilon-word",
             "experiment-zero-denominator", "basepoint-word",
             "basepoint-overflow", "basepoint-three-parts", "basepoint-empty",
-            "design-target-nan", "experiment-negative-trials"])
+            "design-target-nan", "experiment-negative-trials",
+            "experiment-zero-epsilon"])
     def test_malformed_number_exits_2(self, capsys, paper_instance, argv):
         if argv[0] in ("alien", "infinitesimal"):
             argv = argv + ["--instance", paper_instance]
@@ -168,11 +171,14 @@ class TestCertify:
 
 class TestMonodromyCommand:
     def test_square(self, capsys):
-        code, out = run(capsys, "monodromy", "--f", "[0,0,1]")
-        assert code == 0
-        data = json.loads(out)
-        assert data["result"]["loops"][0]["permutation"] == [2, 1]
-        assert data["result"]["infinity_permutation"] == [2, 1]
+        # x^2 and x^3 have one critical value each, whose loop is the loop
+        # around infinity: a transposition, then a 3-cycle
+        for f, perm in (("[0,0,1]", [2, 1]), ("[0,0,0,1]", [2, 3, 1])):
+            code, out = run(capsys, "monodromy", "--f", f)
+            assert code == 0
+            data = json.loads(out)
+            assert data["result"]["loops"][0]["permutation"] == perm
+            assert data["result"]["infinity_permutation"] == perm
 
     def test_negative_basepoint(self, capsys):
         code, out = run(capsys, "monodromy", "--f", "[0,0,-1,0,1]",
@@ -204,6 +210,22 @@ class TestBrieskornCommand:
         assert code == 0
         data = json.loads(out)
         assert data["result"]["generator_degrees"] == [1, 2, 4]
+
+
+class TestOutput:
+    @pytest.mark.parametrize("command", ["tangential", "plot-data"])
+    def test_unwritable_output_exits_2(self, capsys, paper_instance, tmp_path,
+                                       command):
+        # a JSON report and a CSV table, each computed and then written
+        # into a directory that does not exist
+        argv = ["tangential", "--instance", paper_instance]
+        if command == "plot-data":
+            report = str(tmp_path / "report.json")
+            assert main(argv + ["--output", report]) == 0
+            argv = ["plot-data", "--report", report, "--format", "csv"]
+        missing = str(tmp_path / "missing" / "out")
+        assert main(argv + ["--output", missing]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPlotData:

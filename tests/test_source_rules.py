@@ -79,6 +79,23 @@ def test_extended_precision_has_one_home():
     assert not offenders, offenders
 
 
+def test_one_polynomial_toolkit():
+    # polynomials are evaluated and differentiated by RatPoly and
+    # ComplexPoly: no package module imports numpy.polynomial
+    offenders = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.startswith("numpy.polynomial")]
+    assert not offenders, offenders
+
+
 def test_the_program_runs_without_mpmath(tmp_path):
     # a fresh interpreter counts the tangential zeros of trial 0 of the
     # seed-2026 (4,3) suite, whose oracle settles at 40 digits, and never

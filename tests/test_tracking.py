@@ -123,8 +123,8 @@ class TestMonodromy:
             assert len(seen) == len(perm)
 
     def test_consistency_on_random_morse(self):
-        # composing the stored loops must invert the loop around infinity;
-        # monodromy() raises internally when this fails
+        # the stored loops, applied from last to first, must give the loop
+        # around infinity; monodromy() raises internally when this fails
         rng = random.Random(99)
         built = 0
         while built < 20:
@@ -142,6 +142,31 @@ class TestMonodromy:
                 continue
             monodromy(f)
             built += 1
+
+    @pytest.mark.parametrize("coeffs", [
+        [0, 0, 0, 1], [0, 0, 0, 0, 1], [0, 0, 0, 1, 1], "ledger-24"],
+        ids=["x^3", "x^4", "x^3+x^4", "degree-24"])
+    def test_non_involutive_loops(self, coeffs):
+        # a degenerate critical value (0 for x^3, x^4 and x^3 + x^4), or
+        # merged ones, give a loop that is not an involution: the one loop
+        # of x^3 is a 3-cycle.  The degree-24 polynomial is prod (z - r_k)
+        # with r_k = (2k - 23)/24 + (k mod 3)/168, whose 23 critical values
+        # within 4.4e-5 merge into 5
+        if coeffs == "ledger-24":
+            f = RatPoly([1])
+            for k in range(24):
+                r_k = Fraction(2 * k - 23, 24) + Fraction(k % 3, 168)
+                f = f * RatPoly([-r_k, 1])
+        else:
+            f = RatPoly(coeffs)
+        rep = monodromy(f)
+        assert any(perm[perm[i]] != i for perm in rep.generators()
+                   for i in range(len(perm)))
+        # the loops applied from last to first give the loop at infinity
+        composed = range(f.degree)
+        for perm in reversed(rep.generators()):
+            composed = [perm[i] for i in composed]
+        assert tuple(composed) == rep.infinity_permutation
 
     def test_quartic_splitting_example(self):
         rep = monodromy(RatPoly([0, 0, -1, 0, 1]), basepoint=-0.125,
