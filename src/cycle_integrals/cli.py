@@ -156,6 +156,8 @@ def _parse_complex_list(text):
             if not cmath.isfinite(z):
                 raise InputError(f"complex target {part!r} is not finite")
             out.append(z)
+    if not out:
+        raise InputError(f"no complex target in {text!r}")
     return out
 
 

@@ -28,8 +28,8 @@ class Settings:
     degree_cap: int = 64
     tol_fit: float = 1e-8            # relative tail tolerance of the fit
     identically_zero: float = 1e-12  # relative threshold declaring the oracle identically zero
-    ring_delta: float = 1e-3         # zero-verification ring radius factor
-    root_verify: float = 1e-4        # |N| at a zero vs max |N| on its ring
+    ring_delta: float = 1e-3         # ring radius delta = factor*(1 + |t|) of a zero t
+    root_verify: float = 1e-4        # max first-order |N(t)| / |N| at distance delta
 
     # zero grouping and classification
     cluster_scale: float = 1e-6      # zero-cluster radius factor (scale aware)

@@ -79,8 +79,8 @@ class IdentityViolation(NumericalError):
 class FitRejected(NumericalError):
     """No rung of the precision ladder gave an acceptable oracle fit: the
     residual stayed above tolerance, a double fit fell short of the declared
-    degree, a zero failed the ring test, or a sign-symmetric product kept a
-    regular zero cluster of odd size."""
+    degree, a zero's first-order ring ratio exceeded root_verify, or a
+    sign-symmetric product kept a regular zero cluster of odd size."""
 
 
 class SingularDesignSystem(NumericalError):

@@ -24,11 +24,11 @@ and root extraction on the (re, im) Decimal pairs of ``precision``, the
 one extended-precision kernel, on ``decimal``.  Each fiber solve and each
 extraction at 40 digits or more accepts a root by one residual test, or
 raises NonConvergence.  A rung is accepted when every extracted zero
-passes the ring test against the branches and, for a sign-symmetric
-product, every regular zero cluster has even size; this module alone
-decides zero multiplicities.  A double-precision fit is accepted only at
-the full declared degree; a fit at 40 digits or more may be shorter than
-the bound.  A product that vanishes identically raises
+passes the first-order ring ratio on the double fiber over it and, for a
+sign-symmetric product, every regular zero cluster has even size; this
+module alone decides zero multiplicities.  A double fit is accepted only
+at the full declared degree; a fit at 40 digits or more may be shorter
+than the bound.  A product that vanishes identically raises
 IdenticallyZeroIntegral where it is seen: g reducing to zero, or a fit.
 """
 
@@ -219,6 +219,8 @@ class _ProductSampler:
         self.weights = tuple(weights[j] for j in support)
         self.wvec = np.array(self.weights, dtype=complex)
         self.wabs = float(sum(abs(w) for w in weights))
+        self.dh = integrand.derivative().to_complex()
+        self.dp = p.derivative().to_complex()
         self._cache = {}
 
     def _coeffs(self, poly, dps):
@@ -253,33 +255,23 @@ class _ProductSampler:
         floor = 8 - dps + math.log10(self.wabs) + log_vmax
         return factors, not min(log10_abs(v) for v in factors) > floor
 
-    def log_abs_d(self, t, init=None):
-        """log |N(t)| up to the constant prescale (-inf at exact zeros), and
-        the fiber over t, solved from ``init``."""
-        roots = self.fiber(t, None, init=init)
-        factors, _ = self.factors(roots, None)
-        absf = np.abs(factors)
-        if np.any(absf == 0.0):
-            return -math.inf, roots
-        return float(np.sum(np.log(absf))), roots
-
     def ring_ratio(self, t):
-        """|N| at a claimed zero vs max |N| on a small surrounding ring.
-
-        Scale free: a genuine zero of multiplicity k extracted with error e
-        scores ~ (e/delta)^k, while a phantom root of the fitted polynomial
-        scores O(1).  The ring fibers start from the center fiber.
-        """
+        """|N(t)| against |N| at distance delta = ring_delta * (1 + |t|), to
+        first order, from the fiber over t: the product over the distinct
+        factors F of min(1, |F| / (|F'| delta)), F' = sum_j w_j h'(z_j) /
+        p'(z_j).  A zero of multiplicity k extracted with error e scores
+        ~ (e/delta)^k and a phantom root O(1); an exact zero scores 0, and a
+        ratio that is not finite is inf."""
         delta = DEFAULT.ring_delta * (1.0 + abs(t))
-        ring = [t + delta * cmath.exp(1j * math.pi * (2 * k + 1) / 4)
-                for k in range(4)]
-        center, roots = self.log_abs_d(t)
-        edge = max(self.log_abs_d(z, roots)[0] for z in ring)
-        if center == -math.inf:
+        roots = np.asarray(self.fiber(t, None), dtype=complex)
+        factors, _ = self.factors(roots, None)
+        if np.any(factors == 0.0):
             return 0.0
-        if edge == -math.inf:
-            return 1.0
-        return math.exp(min(700.0, center - edge))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = (self.dh.evaluate(roots) / self.dp.evaluate(roots))[self.index]
+            ratio = float(np.prod(np.minimum(
+                1.0, np.abs(factors) / (np.abs(slopes @ self.wvec) * delta))))
+        return ratio if math.isfinite(ratio) else math.inf
 
 
 def _fit(sampler, degree_bound, radius, dps):
@@ -364,11 +356,12 @@ def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
 
 
 def _verify_zeros(sampler, clusters):
-    """Ring-verify the first member of each zero cluster.
+    """Check the first-order ring ratio of the first member of each zero
+    cluster against root_verify.
 
-    The ring test resolves ratios down to the double-precision log floor,
-    far below the acceptance threshold, so it always runs in doubles no
-    matter what precision produced the fit.
+    The ratio comes from the one fiber over the zero in doubles, whatever
+    precision produced the fit: the branch factors and their Newton steps
+    resolve it far below the threshold.
     """
     return all(sampler.ring_ratio(members[0]) <= DEFAULT.root_verify
                for _, members in clusters)
@@ -417,13 +410,14 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
     its Decimal pairs, and its zeros are rounded to doubles.  A
     sign-symmetric product starts at 40 digits: a double fit locates a
     double zero to about the square root of its residual, so its ring
-    test seldom passes.
+    ratio seldom passes.
 
     Zeros are clustered at cluster_scale * (base_scale + |z|), base_scale
     from the critical values of f (those of f + eps*g lie far out when
-    deg g > deg f); the first zero of each cluster is ring-tested, and the
-    clusters on a critical value of p are set apart.  Under a sign
-    symmetry an odd regular cluster means the rung split a multiple zero.
+    deg g > deg f); the first-order ring ratio checks the first zero of each
+    cluster, and the clusters on a critical value of p are set apart.  Under
+    a sign symmetry an odd regular cluster means the rung split a multiple
+    zero.
     """
     if p.degree > DEFAULT.oracle_fiber_cap:
         raise InputError(

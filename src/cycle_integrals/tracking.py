@@ -92,13 +92,15 @@ def per_cv_radii(critical):
 
 
 def _sorted_roots(values, ordering):
-    if ordering == "real":
-        imag = max(abs(z.imag) for z in values)
-        scale = 1.0 + max(abs(z) for z in values)
-        if imag > 1e-6 * scale:
-            raise InputError("real ordering requested for a non-real fiber")
-        return tuple(sorted(values, key=lambda z: z.real))
-    return tuple(lex_sorted(values, DEFAULT.tol_cluster))
+    if ordering == "lex":
+        return tuple(lex_sorted(values, DEFAULT.tol_cluster))
+    if ordering != "real":
+        raise InputError(f"unknown fiber ordering {ordering!r}: 'lex' or 'real'")
+    imag = max(abs(z.imag) for z in values)
+    scale = 1.0 + max(abs(z) for z in values)
+    if imag > 1e-6 * scale:
+        raise InputError("real ordering requested for a non-real fiber")
+    return tuple(sorted(values, key=lambda z: z.real))
 
 
 def solve_fiber(p, t, ordering="lex", critical=None):

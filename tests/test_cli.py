@@ -109,13 +109,18 @@ class TestInstanceCommands:
         ["monodromy", "--f", "[0,0,1]", "--basepoint="],
         ["design-g", "--f", "[0,0,1,1]", "--cycle", "[1,2,-3]", "--n", "4",
          "--targets", "nan"],
+        ["design-g", "--f", "[0,0,1,1]", "--cycle", "[1,2,-3]", "--n", "4",
+         "--targets", ""],
+        ["design-g", "--f", "[0,0,1,1]", "--cycle", "[1,2,-3]", "--n", "4",
+         "--targets", ","],
         ["experiment", "--m", "3", "--n", "2", "--trials", "-3"],
         ["experiment", "--m", "3", "--n", "2", "--kind", "infinitesimal",
          "--epsilon", "0"],
     ], ids=["schedule-word", "schedule-zero-denominator", "epsilon-word",
             "experiment-zero-denominator", "basepoint-word",
             "basepoint-overflow", "basepoint-three-parts", "basepoint-empty",
-            "design-target-nan", "experiment-negative-trials",
+            "design-target-nan", "design-targets-empty",
+            "design-targets-comma", "experiment-negative-trials",
             "experiment-zero-epsilon"])
     def test_malformed_number_exits_2(self, capsys, paper_instance, argv):
         if argv[0] in ("alien", "infinitesimal"):

@@ -116,8 +116,9 @@ class TestTangentialCount:
 
     def test_zeros_on_the_ring_threshold(self):
         # seed-2026 (3,3) trial 15: four real zeros crowd near t = 10 and
-        # the ring ratio of a double fit sits at root_verify, so the count
-        # and the zeros must not depend on which rung accepts
+        # the first-order ring ratio of a double fit, from the fiber over
+        # each zero, sits near root_verify, so the count and the zeros must
+        # not depend on which rung accepts
         inst = Instance(RatPoly([9, Fraction(-2, 3), Fraction(3, 2), 1]),
                         RatPoly([Fraction(-5, 3), Fraction(9, 2),
                                  Fraction(-7, 3), -5]),

@@ -135,6 +135,9 @@ class TestTangentialOracle:
         # factors (each ordering pair swapping the two unit weights gives
         # one factor) is a constant multiple of (t - 4/27)^2
         oracle = build_tangential_oracle(Instance(PAPER_F, PAPER_G, PAPER_C))
+        # the double fit splits the double zero by about 1e-7; the ring
+        # ratio scores it (e/delta)^2 and accepts it in doubles
+        assert oracle.precision_dps is None
         assert oracle.declared_degree_bound == 2
         assert oracle.fitted_degree == 2
         cs = np.array(oracle.coeffs[:3])
@@ -341,6 +344,24 @@ class TestHalfCircleSampling:
                 low = sample(-mp.mpf(q) / 4)
                 high = sample(mp.mpf(q) / 4)
                 assert abs(low - mp.conj(high)) <= rel * abs(low)
+
+
+class TestRingRatio:
+    """The ring ratio of a claimed zero comes from the one fiber over it."""
+
+    def test_solves_one_fiber(self, monkeypatch):
+        sampler = _sampler(Instance(PAPER_F, PAPER_G, PAPER_C))
+        calls = _count_calls(monkeypatch, "fiber")
+        sampler.ring_ratio(4 / 27 + 1e-7)
+        assert calls == [4 / 27 + 1e-7]
+
+    def test_zeros_pass_and_phantom_fails(self):
+        inst = Instance(PAPER_F, PAPER_G, PAPER_C)
+        oracle = build_tangential_oracle(inst)
+        sampler = _sampler(inst)
+        assert all(sampler.ring_ratio(z) <= DEFAULT.root_verify
+                   for z in oracle.zeros)
+        assert sampler.ring_ratio(1.0) > DEFAULT.root_verify
 
 
 class TestInfinitesimalOracle:
