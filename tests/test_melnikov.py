@@ -135,8 +135,8 @@ class TestTangentialOracle:
         # factors (each ordering pair swapping the two unit weights gives
         # one factor) is a constant multiple of (t - 4/27)^2
         oracle = build_tangential_oracle(Instance(PAPER_F, PAPER_G, PAPER_C))
-        # the double fit splits the double zero by about 1e-7; the ring
-        # ratio scores it (e/delta)^2 and accepts it in doubles
+        # the double fit splits the double zero by about 1e-7, and the
+        # product of the per-factor ring ratios still accepts it in doubles
         assert oracle.precision_dps is None
         assert oracle.declared_degree_bound == 2
         assert oracle.fitted_degree == 2

@@ -44,8 +44,7 @@ class TestSolveFiber:
             solve_fiber(p, 1.0, ordering="real")
 
     def test_unknown_ordering_rejected(self):
-        # an unknown ordering used to fall back to lex order silently, and
-        # MonodromyRep recorded the string as given
+        # only "lex" and "real" name an ordering; MonodromyRep records it
         with pytest.raises(InputError, match="unknown fiber ordering"):
             solve_fiber(RatPoly([0, 0, 1]).to_complex(), 4.0, ordering="bogus")
         with pytest.raises(InputError, match="unknown fiber ordering"):
