@@ -29,7 +29,7 @@ from .errors import (BranchMatchingAmbiguous, CycleIntegralsError, InputError,
                      NumericalError)
 from .melnikov import (Instance, brieskorn_dimension, build_infinitesimal_oracle,
                        build_tangential_oracle, reduce_deformation)
-from .poly import RatPoly, critical_values, roots_raw
+from .poly import RatPoly, critical_values, poly_gcd, roots_raw
 from .tracking import critical_exclusion, halving_match
 
 
@@ -164,6 +164,115 @@ class _Point:
     slope: complex
 
 
+def _plus(p, q, eps):
+    """Coefficients of p + eps*q."""
+    return [a + eps * b for a, b in itertools.zip_longest(
+        p.coeffs, q.coeffs, fillvalue=0j)]
+
+
+def _real_roots(coeffs):
+    """Sorted real parts of the roots of ``coeffs`` within tol_cluster of
+    the real axis."""
+    return sorted(float(z.real) for z in roots_raw(coeffs)
+                  if abs(z.imag) <= DEFAULT.tol_cluster * (1.0 + abs(z)))
+
+
+def _deflate(coeffs, z):
+    """Quotient of the ascending ``coeffs`` by (x - z), remainder dropped."""
+    out, acc = [], 0j
+    for c in reversed(coeffs[1:]):
+        acc = acc * z + c
+        out.append(acc)
+    return out[::-1]
+
+
+class _Pencil:
+    """The polynomials f + eps*g of an instance in doubles, the cycle
+    weights, and the cusps of the pencil, shared by all its branches.
+
+    A cusp is a real point z where two real critical points of f + eps*g
+    meet: a real zero of the Wronskian W = f''g' - f'g'', reached at
+    eps_c = -f'(z)/g'(z).  Near it f' + eps*g' is about
+    g'(z)(eps - eps_c) + b (x - z)^2 / 2 with b = f'''(z) + eps_c g'''(z),
+    so the pair exists below eps_c, and merges as eps grows, when
+    g'(z) b > 0.
+    """
+
+    def __init__(self, inst):
+        self.f = inst.f.to_complex()
+        self.g = inst.g.to_complex()
+        self.df = inst.f.derivative().to_complex()
+        self.dg = inst.g.derivative().to_complex()
+        self.weights = np.array(inst.cycle.weights, dtype=float)
+        try:
+            self.cusps = self._cusps(inst.f.derivative(), inst.g.derivative())
+        except NumericalError:
+            self.cusps = ()
+
+    def fiber(self, t, eps, init=None):
+        coeffs = _plus(self.f, self.g, eps)
+        coeffs[0] -= t
+        return roots_raw(coeffs, init=init)
+
+    def _cusps(self, df, dg):
+        """Sorted (eps, chamber) for each eps > 0 where the real critical
+        points of f + eps*g can change: the cusps, and the eps where the
+        degree of f' + eps*g' drops when deg f = deg g.  ``chamber`` is
+        (i, k) when k real critical points lie just below eps and the i-th
+        and (i+1)-th from the left (from 0) merge there, else None."""
+        events = []
+        if df.degree == dg.degree and -df.leading / dg.leading > 0:
+            events.append((float(-df.leading / dg.leading), None))
+        w = df.derivative() * dg - df * dg.derivative()
+        if w.degree < 1:
+            return tuple(events)
+        w = w // poly_gcd(w, w.derivative())
+        d3f = df.derivative().derivative().to_complex()
+        d3g = dg.derivative().derivative().to_complex()
+        for z in _real_roots(w.to_complex().coeffs):
+            slope = self.dg.evaluate(z).real
+            eps = -self.df.evaluate(z).real / slope if slope else math.inf
+            if not 0 < eps < math.inf:
+                continue
+            a, b = d3f.evaluate(z).real, eps * d3g.evaluate(z).real
+            chamber = None
+            if (slope * (a + b) > 0
+                    and abs(a + b) > DEFAULT.tol_cluster * (abs(a) + abs(b))):
+                critical = _plus(self.df, self.dg, eps)
+                rest = _real_roots(_deflate(_deflate(critical, z), z))
+                chamber = (sum(r < z for r in rest), len(rest) + 2)
+            events.append((eps, chamber))
+        return tuple(sorted(events, key=lambda event: event[0]))
+
+    def shut(self, point, target):
+        """True when a cusp proves that a real walk from ``point`` cannot
+        reach eps = target > point.eps (`_Branch.walk` gives the proof).
+
+        It checks that t is real to the root tolerance, that the first
+        event above point.eps is a cusp below target where the real
+        critical points A < B of f + eps*g merge, and that t lies strictly
+        between the critical values at A and B, so that a root of the real
+        fiber lies strictly between A and B.  Any doubt answers False: t
+        off the axis (a zero crawling onto it shows |Im t| up to about
+        tol_cluster), a count of real critical points other than the
+        cusp's, another event first, or t within tol_cluster of the
+        critical value at A or B, where a root nears A or B.
+        """
+        t = point.t
+        ahead = [event for event in self.cusps if event[0] > point.eps]
+        if not (ahead and ahead[0][0] < target and ahead[0][1]
+                and abs(t.imag) <= DEFAULT.tol_root * (1.0 + abs(t))):
+            return False
+        below, count = ahead[0][1]
+        crit = _real_roots(_plus(self.df, self.dg, point.eps))
+        if len(crit) != count:
+            return False
+        va, vb = (self.f.evaluate(z).real + point.eps * self.g.evaluate(z).real
+                  for z in crit[below:below + 2])
+        margin = DEFAULT.tol_cluster * (1.0 + abs(t))
+        return min(va, vb) + margin < t.real < max(va, vb) - margin
+
+
 class _Branch:
     """One displacement zero continued in epsilon on its branch factor.
 
@@ -175,26 +284,17 @@ class _Branch:
     factor vanishes there.
     """
 
-    def __init__(self, inst, t, eps):
-        self.f = inst.f.to_complex()
-        self.g = inst.g.to_complex()
-        self.df = inst.f.derivative().to_complex()
-        self.dg = inst.g.derivative().to_complex()
-        self.weights = np.array(inst.cycle.weights, dtype=float)
-        roots = self._fiber(t, eps)
+    def __init__(self, pencil, t, eps):
+        self.pencil = pencil
+        weights = pencil.weights
+        roots = pencil.fiber(t, eps)
         self.slots = list(min(
-            itertools.permutations(range(len(roots)), len(self.weights)),
-            key=lambda s: abs(self.weights @ self.g.evaluate(roots[list(s)]))))
+            itertools.permutations(range(len(roots)), len(weights)),
+            key=lambda s: abs(weights @ pencil.g.evaluate(roots[list(s)]))))
         self.start = self.advance(_Point(eps, t, roots, 0j), eps)
         if self.start is None:
             raise BranchMatchingAmbiguous(
                 f"the displacement zero {t} does not lie on a certified branch")
-
-    def _fiber(self, t, eps, init=None):
-        coeffs = [a + eps * b for a, b in itertools.zip_longest(
-            self.f.coeffs, self.g.coeffs, fillvalue=0j)]
-        coeffs[0] -= t
-        return roots_raw(coeffs, init=init)
 
     def advance(self, point, eps):
         """Euler predictor and Newton corrector on G at a new epsilon.
@@ -203,12 +303,13 @@ class _Branch:
         the Newton steps must contract; otherwise returns None so that the
         caller shortens the step.
         """
+        p = self.pencil
         t = point.t + point.slope * (eps - point.eps)
         roots = point.roots
         last = math.inf
         for _ in range(8):
             try:
-                new = self._fiber(t, eps, init=roots)
+                new = p.fiber(t, eps, init=roots)
             except NumericalError:
                 return None
             order = halving_match(roots, new)
@@ -216,15 +317,15 @@ class _Branch:
                 return None
             roots = new[order]
             z = roots[self.slots]
-            gz = self.g.evaluate(z)
-            dgz = self.dg.evaluate(z)
-            dzdt = 1.0 / (self.df.evaluate(z) + eps * dgz)
-            g_t = self.weights @ (dgz * dzdt)
+            gz = p.g.evaluate(z)
+            dgz = p.dg.evaluate(z)
+            dzdt = 1.0 / (p.df.evaluate(z) + eps * dgz)
+            g_t = p.weights @ (dgz * dzdt)
             if g_t == 0:
                 return None
             # dw/deps = -g(w) dw/dt at fixed t, so dt/deps = -G_eps / G_t
-            slope = (self.weights @ (dgz * gz * dzdt)) / g_t
-            step = -(self.weights @ gz) / g_t
+            slope = (p.weights @ (dgz * gz * dzdt)) / g_t
+            step = -(p.weights @ gz) / g_t
             if abs(step) <= DEFAULT.tol_cluster * (1.0 + abs(t)):
                 return _Point(eps, complex(t), roots, complex(slope))
             if abs(step) > 0.5 * last:
@@ -235,20 +336,47 @@ class _Branch:
 
     def walk(self, point, target):
         """Certified points from ``point`` toward eps = target in geometric
-        steps; stops early when the step underflows."""
+        steps; stops early when the step underflows.
+
+        An upward walk also stops as soon as `_Pencil.shut` certifies that
+        a cusp closes the way: t is real and a root of its real fiber lies
+        in the chamber between adjacent real critical points A < B of
+        f + eps*g that merge at a cusp below target.  Proven: a step that
+        `halving_match` accepts on a real fiber sends each real root to a
+        real root, in order, since the halving disk of a real root is
+        symmetric about the real axis and holds one new root.  Resting on
+        the identity gates of `advance` (the halving match and the
+        contracting Newton corrector), as every point of the walk does:
+        the accepted steps follow the real branch, so t does not turn
+        complex at a fold before the cusp, and the root leaves (A, B) only
+        through a fiber collision at A or B, where the walk stalls.  The
+        chamber closes at the cusp, so target is out of reach.  The
+        certificate is asked when the walk starts and at the first
+        rejected step after each accepted point; where it answers False
+        the walk goes on as before, down to the step floor.  Downward
+        walks never ask it.
+        """
         h = math.log(2.0)
+        upward = target > point.eps
+        if upward and self.pencil.shut(point, target):
+            return
+        fresh = False
         while point.eps != target:
             span = math.log(target / point.eps)
             eps = (target if abs(span) <= h
                    else point.eps * math.exp(math.copysign(h, span)))
             new = self.advance(point, eps)
             if new is None:
+                if fresh and self.pencil.shut(point, target):
+                    return
+                fresh = False
                 h *= 0.5
                 if h < DEFAULT.step_floor:
                     return
                 continue
             point = new
             yield point
+            fresh = upward
             h = min(1.7 * h, math.log(2.0))
 
 
@@ -285,7 +413,12 @@ def _trajectory(branch, levels):
     """The zero at each schedule epsilon, continued upward from the
     smallest.  It ends at the last level reached when the continuation
     stalls on the way up, where the zero collides with another zero or
-    with a critical value of f + eps*g."""
+    with a critical value of f + eps*g.  A walk from a real zero whose
+    fiber root is shut in a chamber of f + eps*g that closes at a cusp
+    below the next level stops at once; the proof, in `_Branch.walk`,
+    assumes that the walk follows the real branch, as its identity gates
+    check.  Other stalls crawl down to the step floor.  Neither reaches
+    the level, so the trajectory is the same either way."""
     point = branch.start
     trajectory = [point.t]
     for eps in reversed(levels[:-1]):
@@ -306,6 +439,13 @@ def classify_alien(inst, schedule):
     continued toward eps -> 0 by `_branch_end`.  A branch's trajectory
     holds its zero at the schedule epsilons, continued upward from the
     smallest by `_trajectory`.  Only the smallest epsilon needs an oracle.
+    The polynomials of f + eps*g and its cusps, the real zeros of
+    f''g' - f'g'' where two real critical points merge, are computed once
+    per call in a `_Pencil` that every branch shares.  An upward walk
+    stops at once where a cusp certifies that a root of its real fiber
+    cannot reach the next level; that accepted steps keep real roots real
+    and in order is proven, and that the walk stays on its real branch up
+    to the cusp rests on the identity gates (`_Branch.walk`).
 
     f and g are in Q[x] and the weights are integers, so the fiber over
     conj(t) at a real epsilon is the conjugate of the fiber over t, and
@@ -335,6 +475,7 @@ def classify_alien(inst, schedule):
 
     report = count_infinitesimal_zeros(replace(inst, epsilon=schedule[-1]))
     levels = [float(e) for e in schedule]
+    pencil = _Pencil(inst)
     branches = []
     continued = []  # (seed, branch dict) of the branches continued here
     for seed, _ in report.distinct_regular_zeros:
@@ -349,7 +490,7 @@ def classify_alien(inst, schedule):
                 partner, limit=None if limit is None else limit.conjugate(),
                 trajectory=tuple(z.conjugate() for z in partner["trajectory"])))
             continue
-        branch = _Branch(inst, seed, levels[-1])
+        branch = _Branch(pencil, seed, levels[-1])
         limit, cls, matched = _branch_end(branch, tzeros, crit_f.critical_values,
                                           r_f, horizon)
         branches.append({"trajectory": _trajectory(branch, levels),

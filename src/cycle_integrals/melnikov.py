@@ -564,7 +564,9 @@ def design_g_with_zeros(f, cycle, targets, n):
     Solves the kernel of the interpolation system over the Brieskorn
     generators and checks each target residual of the result on the fibers
     the system was built from.  Raises SingularDesignSystem when the
-    targets exhaust or degenerate the available dimensions.
+    targets exhaust or degenerate the available dimensions.  Returns a
+    ComplexPoly for every target list: with no targets, the first
+    generator.
     """
     basis = brieskorn_generators(f, n)
     dim = basis.dimension
@@ -573,7 +575,7 @@ def design_g_with_zeros(f, cycle, targets, n):
         raise SingularDesignSystem(
             f"{len(targets)} targets with only {dim} generator dimensions")
     if not targets:
-        return basis.generators[0]
+        return basis.generators[0].to_complex()
     if len(set(targets)) != len(targets):
         raise InputError("targets must be pairwise distinct")
     crit = critical_values(f)

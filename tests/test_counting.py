@@ -316,6 +316,104 @@ class TestAlienClassification:
                                        Fraction(1, 200)])
 
 
+# partition trials 3 and 15 of criterion 6; upward continuation of some of
+# their branches from eps = 1/100 cannot reach 1/50, because a cusp of
+# f + eps*g at eps = 0.0158949 and 0.0117851 closes the chamber of a root
+PARTITION_3 = Instance(RatPoly([-1, 3, Fraction(-10, 3), 1]),
+                       RatPoly([-6, 2, Fraction(11, 2), Fraction(8, 3), 6]),
+                       Cycle((1, -5, 4)), epsilon=Fraction(1, 100))
+PARTITION_15 = Instance(RatPoly([-12, Fraction(7, 3), -6, 1]),
+                        RatPoly([Fraction(-10, 3), 6, Fraction(5, 3), -1, -4]),
+                        Cycle((9, -1, -8)), epsilon=Fraction(1, 100))
+
+
+def recorded_walks(monkeypatch, inst):
+    """classify_alien on inst, with (start, target, last point, advance
+    calls) for every walk of every continued branch."""
+    walks = []
+
+    class RecordedBranch(counting._Branch):
+        calls = 0
+
+        def advance(self, point, eps):
+            self.calls += 1
+            return super().advance(point, eps)
+
+        def walk(self, point, target):
+            before, last = self.calls, point
+            for last in super().walk(point, target):
+                yield last
+            walks.append((point, target, last, self.calls - before, self))
+
+    monkeypatch.setattr(counting, "_Branch", RecordedBranch)
+    return classify_alien(inst, SCHEDULE), walks
+
+
+def is_real(t):
+    return abs(t.imag) <= DEFAULT.tol_root * (1.0 + abs(t))
+
+
+class TestStallCertificate:
+    # f = x^3 - 3x, g = -x^4: W = f''g' - f'g'' = 12 x^2 (x^2 - 3), and of
+    # its zeros only z = sqrt(3) gives a positive eps = -f'(z)/g'(z)
+    CUSP = Instance(RatPoly([0, -3, 0, 1]), RatPoly([0, 0, 0, 0, -1]),
+                    Cycle((1, 1, -2)))
+
+    def test_closed_form_cusp(self):
+        pencil = counting._Pencil(self.CUSP)
+        (eps_c, chamber), = pencil.cusps
+        assert eps_c == pytest.approx(1 / (2 * 3 ** 0.5), rel=1e-12)
+        # three real critical points below the cusp; the right two merge
+        assert chamber == (1, 3)
+        crit = counting._real_roots(counting._plus(
+            pencil.df, pencil.dg, eps_c * (1 - 1e-6)))
+        assert len(crit) == 3
+        assert crit[2] - crit[1] < 1e-2
+        assert (crit[1] + crit[2]) / 2 == pytest.approx(3 ** 0.5, abs=1e-5)
+
+    def test_certifies_only_a_root_in_the_closing_chamber(self):
+        # at eps = 0.1 the right two critical values of x^3 - 3x - x^4/10
+        # are -2.116 and 83.17; the fiber over 0 has the root 1.93 between
+        # the critical points 1.08 and 7.36
+        pencil = counting._Pencil(self.CUSP)
+
+        def at(t):
+            return counting._Point(0.1, complex(t), None, 0j)
+
+        assert pencil.shut(at(0.0), 0.5)
+        assert not pencil.shut(at(0.0), 0.25)   # the cusp lies beyond 0.25
+        assert not pencil.shut(at(-10.0), 0.5)  # no root in the chamber
+        assert not pencil.shut(at(90.0), 0.5)
+        assert not pencil.shut(at(1e-3j), 0.5)  # t is not real
+
+    @pytest.mark.parametrize("inst, short", [(PARTITION_3, 2), (PARTITION_15, 6)],
+                             ids=["partition3", "partition15"])
+    def test_stalls_at_a_cusp_stop_at_once(self, monkeypatch, inst, short):
+        report, walks = recorded_walks(monkeypatch, inst)
+        assert sum(len(b["trajectory"]) == 2 for b in report.branches) == short
+        stalled = [w for w in walks if w[1] == 0.02 and w[2].eps != 0.02]
+        assert stalled
+        for start, _, last, calls, branch in stalled:
+            assert start.eps == 0.01
+            if is_real(start.t):
+                assert calls <= 5
+            else:
+                # a branch that turns real on the way stops at the first
+                # rejected step after that
+                assert is_real(last.t) and branch.pencil.shut(last, 0.02)
+
+    def test_open_chamber_walk_reaches_its_level(self, monkeypatch):
+        # the non-real partition-15 branch seeded near 5572.88 - 0.92i
+        # crawls near eps = 0.0098638 on its way up and then passes 1/100
+        report, walks = recorded_walks(monkeypatch, PARTITION_15)
+        (start, _, last, calls, _), = [
+            w for w in walks
+            if w[1] == 0.01 and abs(w[0].t - (5572.876 - 0.9208j)) < 1e-2]
+        assert calls > 100
+        assert last.eps == 0.01
+        assert (last.t, start.t) in [b["trajectory"][-2:] for b in report.branches]
+
+
 class TestExperiments:
     def test_small_tangential_suite(self):
         summary = run_sharpness_experiment(3, 2, "tangential", 5, seed=2026)

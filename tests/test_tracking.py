@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from cycle_integrals.cycles import Cycle
 from cycle_integrals.errors import InputError, NearCriticalValue
 from cycle_integrals.poly import RatPoly, critical_values
 from cycle_integrals.tracking import (Fiber, MonodromyRep, circulant_rank,
-                                      loop_waypoints, monodromy, orbit_rank,
-                                      solve_fiber, track_path, exclusion_radius)
+                                      halving_match, loop_waypoints, monodromy,
+                                      orbit_rank, solve_fiber, track_path,
+                                      exclusion_radius)
 from cycle_integrals.config import DEFAULT
 
 
@@ -49,6 +51,39 @@ class TestSolveFiber:
             solve_fiber(RatPoly([0, 0, 1]).to_complex(), 4.0, ordering="bogus")
         with pytest.raises(InputError, match="unknown fiber ordering"):
             monodromy(RatPoly([0, 0, 1, 1]), ordering="Real")
+
+
+class TestHalvingMatch:
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(real=st.lists(st.floats(-3, 3), min_size=1, max_size=4),
+           gap=st.floats(1e-3, 0.2),
+           pairs=st.lists(st.tuples(st.floats(-3, 3), st.floats(0.05, 2)),
+                          max_size=2),
+           bump=st.lists(st.floats(-1, 1), min_size=10, max_size=10),
+           size=st.integers(1, 10))
+    def test_accepted_real_change_keeps_real_roots_real_and_in_order(
+            self, real, gap, pairs, bump, size):
+        # a real polynomial with simple roots, one close real pair among
+        # them, and a small real change of its coefficients.  The halving
+        # disk of a real root is symmetric about the real axis and holds
+        # one new root, so an accepted match sends it to a real root, and
+        # the disjoint disks keep their order along the axis.  np.roots
+        # returns the new fiber exactly closed under conjugation, as the
+        # fiber of a real polynomial is.
+        real = sorted(real + [real[0] + gap])
+        old = ([complex(r) for r in real]
+               + [complex(a, s * b) for a, b in pairs for s in (1, -1)])
+        assume(min(abs(a - b) for i, a in enumerate(old) for b in old[i + 1:])
+               >= 1e-3)
+        coeffs = np.poly(old).real
+        new = np.roots([c + 10.0 ** -size * b * (1.0 + abs(c))
+                        for c, b in zip(coeffs, bump)])
+        order = halving_match(old, new)
+        if order is None:
+            return
+        images = [new[order[i]] for i in range(len(real))]
+        assert all(z.imag == 0 for z in images)
+        assert [z.real for z in images] == sorted(z.real for z in images)
 
 
 class TestTrackPath:
