@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .config import DEFAULT
 from .cycles import (bound_infinitesimal, bound_tangential, random_generic_cycle,
                      random_simple_cycle, regular_at_infinity, symmetry_group)
@@ -30,7 +28,7 @@ from .errors import (BranchMatchingAmbiguous, CycleIntegralsError, InputError,
 from .melnikov import (Instance, brieskorn_dimension, build_infinitesimal_oracle,
                        build_tangential_oracle, reduce_deformation)
 from .poly import RatPoly, critical_values, poly_gcd, roots_raw
-from .tracking import critical_exclusion, halving_match
+from .tracking import critical_exclusion, halving_match, separations
 
 
 @dataclass(frozen=True)
@@ -156,12 +154,17 @@ def _zero_report(inst, oracle, bound, certificate):
 @dataclass(frozen=True)
 class _Point:
     """A certified point of a branch: epsilon, the zero t, the ordered
-    deformed fiber over t, and the slope dt/deps of the zero."""
+    deformed fiber over t (a tuple), and the slope dt/deps of the zero."""
 
     eps: float
     t: complex
-    roots: np.ndarray
+    roots: tuple
     slope: complex
+
+
+# each root may move at most this fraction of its distance to the nearest
+# other root in one predicted step, below the halving certificate's 1/2
+_REACH = 0.35
 
 
 def _plus(p, q, eps):
@@ -203,7 +206,7 @@ class _Pencil:
         self.g = inst.g.to_complex()
         self.df = inst.f.derivative().to_complex()
         self.dg = inst.g.derivative().to_complex()
-        self.weights = np.array(inst.cycle.weights, dtype=float)
+        self.weights = tuple(float(w) for w in inst.cycle.weights)
         try:
             self.cusps = self._cusps(inst.f.derivative(), inst.g.derivative())
         except NumericalError:
@@ -212,7 +215,20 @@ class _Pencil:
     def fiber(self, t, eps, init=None):
         coeffs = _plus(self.f, self.g, eps)
         coeffs[0] -= t
-        return roots_raw(coeffs, init=init)
+        return roots_raw(coeffs, init=init).tolist()
+
+    def reach(self, point):
+        """The largest log-eps step over which the first-order motion
+        eps (slope - g(z)) / (f' + eps g')(z) of every root z of the fiber
+        at ``point`` stays below _REACH times its distance to the nearest
+        other root."""
+        eps, h = point.eps, math.inf
+        for z, sep in zip(point.roots, separations(point.roots)):
+            speed = abs(eps * (point.slope - self.g.evaluate(z)))
+            if speed:
+                rate = self.df.evaluate(z) + eps * self.dg.evaluate(z)
+                h = min(h, _REACH * sep * abs(rate) / speed)
+        return h
 
     def _cusps(self, df, dg):
         """Sorted (eps, chamber) for each eps > 0 where the real critical
@@ -286,12 +302,12 @@ class _Branch:
 
     def __init__(self, pencil, t, eps):
         self.pencil = pencil
-        weights = pencil.weights
         roots = pencil.fiber(t, eps)
-        self.slots = list(min(
-            itertools.permutations(range(len(roots)), len(weights)),
-            key=lambda s: abs(weights @ pencil.g.evaluate(roots[list(s)]))))
-        self.start = self.advance(_Point(eps, t, roots, 0j), eps)
+        gz = [pencil.g.evaluate(z) for z in roots]
+        self.slots = min(
+            itertools.permutations(range(len(roots)), len(pencil.weights)),
+            key=lambda s: abs(sum(w * gz[k] for w, k in zip(pencil.weights, s))))
+        self.start = self.advance(_Point(eps, t, tuple(roots), 0j), eps)
         if self.start is None:
             raise BranchMatchingAmbiguous(
                 f"the displacement zero {t} does not lie on a certified branch")
@@ -299,9 +315,11 @@ class _Branch:
     def advance(self, point, eps):
         """Euler predictor and Newton corrector on G at a new epsilon.
 
-        Every fiber update must pass the halving-bijection certificate and
-        the Newton steps must contract; otherwise returns None so that the
-        caller shortens the step.
+        The fiber of every Newton iterate must pass the halving-bijection
+        certificate against ``point.roots``, the fiber of the accepted
+        point, so that no chain of small certified moves can carry the
+        branch onto another; and the Newton steps must contract.  Otherwise
+        returns None so that the caller shortens the step.
         """
         p = self.pencil
         t = point.t + point.slope * (eps - point.eps)
@@ -312,22 +330,27 @@ class _Branch:
                 new = p.fiber(t, eps, init=roots)
             except NumericalError:
                 return None
-            order = halving_match(roots, new)
+            order = halving_match(point.roots, new)
             if order is None:
                 return None
-            roots = new[order]
-            z = roots[self.slots]
-            gz = p.g.evaluate(z)
-            dgz = p.dg.evaluate(z)
-            dzdt = 1.0 / (p.df.evaluate(z) + eps * dgz)
-            g_t = p.weights @ (dgz * dzdt)
+            roots = tuple(new[k] for k in order)
+            value = g_t = g_eps = 0j
+            for w, k in zip(p.weights, self.slots):
+                z = roots[k]
+                gz, dgz = p.g.evaluate(z), p.dg.evaluate(z)
+                rate = p.df.evaluate(z) + eps * dgz
+                if rate == 0:
+                    return None
+                value += w * gz
+                g_t += w * dgz / rate
+                g_eps += w * dgz * gz / rate
             if g_t == 0:
                 return None
             # dw/deps = -g(w) dw/dt at fixed t, so dt/deps = -G_eps / G_t
-            slope = (p.weights @ (dgz * gz * dzdt)) / g_t
-            step = -(p.weights @ gz) / g_t
+            slope = g_eps / g_t
+            step = -value / g_t
             if abs(step) <= DEFAULT.tol_cluster * (1.0 + abs(t)):
-                return _Point(eps, complex(t), roots, complex(slope))
+                return _Point(eps, complex(t), roots, slope)
             if abs(step) > 0.5 * last:
                 return None
             last = abs(step)
@@ -337,6 +360,11 @@ class _Branch:
     def walk(self, point, target):
         """Certified points from ``point`` toward eps = target in geometric
         steps; stops early when the step underflows.
+
+        Each log-eps step is at most `_Pencil.reach` of the point it starts
+        from, so that the first-order motion of every fiber root stays well
+        inside its halving disk; a rejected step halves, and an accepted
+        one grows the next by 1.7, up to ln 2 and that bound.
 
         An upward walk also stops as soon as `_Pencil.shut` certifies that
         a cusp closes the way: t is real and a root of its real fiber lies
@@ -350,34 +378,29 @@ class _Branch:
         the accepted steps follow the real branch, so t does not turn
         complex at a fold before the cusp, and the root leaves (A, B) only
         through a fiber collision at A or B, where the walk stalls.  The
-        chamber closes at the cusp, so target is out of reach.  The
-        certificate is asked when the walk starts and at the first
-        rejected step after each accepted point; where it answers False
-        the walk goes on as before, down to the step floor.  Downward
-        walks never ask it.
+        chamber closes at the cusp, so target is out of reach.  The proof
+        holds at any accepted point, so the certificate is asked when the
+        walk starts and after each accepted point; where it answers False
+        the walk goes on, down to the step floor.  Downward walks never
+        ask it.
         """
-        h = math.log(2.0)
         upward = target > point.eps
         if upward and self.pencil.shut(point, target):
             return
-        fresh = False
-        while point.eps != target:
+        h = min(math.log(2.0), self.pencil.reach(point))
+        while point.eps != target and h >= DEFAULT.step_floor:
             span = math.log(target / point.eps)
             eps = (target if abs(span) <= h
                    else point.eps * math.exp(math.copysign(h, span)))
             new = self.advance(point, eps)
             if new is None:
-                if fresh and self.pencil.shut(point, target):
-                    return
-                fresh = False
                 h *= 0.5
-                if h < DEFAULT.step_floor:
-                    return
                 continue
             point = new
             yield point
-            fresh = upward
-            h = min(1.7 * h, math.log(2.0))
+            if upward and self.pencil.shut(point, target):
+                return
+            h = min(1.7 * h, math.log(2.0), self.pencil.reach(point))
 
 
 def _branch_end(branch, tzeros, crit_values, r_f, horizon):
@@ -413,12 +436,13 @@ def _trajectory(branch, levels):
     """The zero at each schedule epsilon, continued upward from the
     smallest.  It ends at the last level reached when the continuation
     stalls on the way up, where the zero collides with another zero or
-    with a critical value of f + eps*g.  A walk from a real zero whose
-    fiber root is shut in a chamber of f + eps*g that closes at a cusp
-    below the next level stops at once; the proof, in `_Branch.walk`,
-    assumes that the walk follows the real branch, as its identity gates
-    check.  Other stalls crawl down to the step floor.  Neither reaches
-    the level, so the trajectory is the same either way."""
+    with a critical value of f + eps*g.  A walk stops at its first point,
+    started or accepted, where a real zero has a fiber root shut in a
+    chamber of f + eps*g that closes at a cusp below the next level; the
+    proof, in `_Branch.walk`, assumes that the walk follows the real
+    branch, as its identity gates check.  Other stalls crawl down to the
+    step floor.  Neither reaches the level, so the trajectory is the same
+    either way."""
     point = branch.start
     trajectory = [point.t]
     for eps in reversed(levels[:-1]):
@@ -441,19 +465,23 @@ def classify_alien(inst, schedule):
     smallest by `_trajectory`.  Only the smallest epsilon needs an oracle.
     The polynomials of f + eps*g and its cusps, the real zeros of
     f''g' - f'g'' where two real critical points merge, are computed once
-    per call in a `_Pencil` that every branch shares.  An upward walk
-    stops at once where a cusp certifies that a root of its real fiber
-    cannot reach the next level; that accepted steps keep real roots real
-    and in order is proven, and that the walk stays on its real branch up
-    to the cusp rests on the identity gates (`_Branch.walk`).
+    per call in a `_Pencil` that every branch shares.  Each log-eps step
+    is sized from the fiber it starts on (`_Pencil.reach`), and the fiber
+    of every Newton iterate is certified against that fiber.  An upward
+    walk stops at its first point, started or accepted, where a cusp
+    certifies that a root of its real fiber cannot reach the next level;
+    that accepted steps keep real roots real and in order is proven, and
+    that the walk stays on its real branch up to the cusp rests on the
+    identity gates (`_Branch.walk`).
 
     f and g are in Q[x] and the weights are integers, so the fiber over
     conj(t) at a real epsilon is the conjugate of the fiber over t, and
-    `halving_match` and the Newton contraction test look only at moduli: the
-    branch of a conjugate seed is the exact conjugate of the branch of
-    its partner.  The seeds are taken in `lex_sorted` order, and a
-    non-real seed whose conjugate already has a continued branch gets
-    that branch conjugated, with the same class and matched kind.
+    `halving_match`, the step bound and the Newton contraction test look
+    only at moduli: the branch of a conjugate seed is the exact conjugate
+    of the branch of its partner.  The seeds are taken in `lex_sorted`
+    order, and a non-real seed whose conjugate already has a continued
+    branch gets that branch conjugated, with the same class and matched
+    kind.
     """
     schedule = [Fraction(e) if not isinstance(e, Fraction) else e for e in schedule]
     if len(schedule) < 3:

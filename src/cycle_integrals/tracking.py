@@ -116,24 +116,36 @@ def solve_fiber(p, t, ordering="lex", critical=None):
 
 
 def _nearest(old, new):
-    """Index of the nearest new point for each old one; None unless that
-    is a bijection."""
-    n = len(old)
-    assignment = [min(range(n), key=lambda j: abs(new[j] - old[i]))
-                  for i in range(n)]
-    return assignment if len(set(assignment)) == n else None
+    """Index of the nearest new point for each old one, the first of equal
+    distances; None unless that is a bijection."""
+    new = [complex(w) for w in new]
+    assignment = []
+    for z in map(complex, old):
+        dist = [abs(w - z) for w in new]
+        assignment.append(dist.index(min(dist)))
+    return assignment if len(set(assignment)) == len(assignment) else None
+
+
+def separations(points):
+    """Distance from each point to its nearest other point, each pairwise
+    distance computed once."""
+    sep = [math.inf] * len(points)
+    for i, z in enumerate(points):
+        for j in range(i + 1, len(points)):
+            d = abs(z - points[j])
+            sep[i], sep[j] = min(sep[i], d), min(sep[j], d)
+    return sep
 
 
 def halving_match(old, new):
     """Nearest-neighbor matching old->new; None unless a halving bijection."""
-    n = len(old)
+    old = [complex(z) for z in old]
+    new = [complex(w) for w in new]
     assignment = _nearest(old, new)
-    if assignment is None:
+    if assignment is None or any(
+            abs(new[k] - z) >= 0.5 * sep
+            for z, k, sep in zip(old, assignment, separations(old))):
         return None
-    for i in range(n):
-        sep = min(abs(old[i] - old[j]) for j in range(n) if j != i)
-        if abs(new[assignment[i]] - old[i]) >= 0.5 * sep:
-            return None
     return assignment
 
 

@@ -1,5 +1,7 @@
 import decimal
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -308,6 +310,24 @@ class TestAlienClassification:
             assert any(other == conjugate(branch)
                        for other in report.branches if other is not branch)
 
+    def test_no_two_branches_share_a_non_real_point(self):
+        # partition trial 141 of criterion 6: a Newton corrector certified
+        # only against its previous iterate carried the alien pair seeded at
+        # -79239.5 -+ 57336.2i onto the regular pair's zeros -58.673 +- 16.626i
+        # at eps = 1/100
+        inst = Instance(RatPoly([4, 6, 1, 1]), RatPoly([-6, -3, 9, -10, -4]),
+                        Cycle((4, 5, -9)), epsilon=Fraction(1, 100))
+        report = classify_alien(inst, SCHEDULE)
+        seen = []
+        for branch in report.branches:
+            # trajectories are aligned at the smallest epsilon
+            for level, t in enumerate(reversed(branch["trajectory"])):
+                tol = DEFAULT.tol_cluster * (1.0 + abs(t))
+                if abs(t.imag) > tol:
+                    assert not any(k == level and abs(z - t) <= tol
+                                   for k, z in seen)
+                    seen.append((level, t))
+
     def test_schedule_validation(self):
         with pytest.raises(InputError):
             classify_alien(PAPER_EPS, [Fraction(1, 50), Fraction(1, 100)])
@@ -329,7 +349,8 @@ PARTITION_15 = Instance(RatPoly([-12, Fraction(7, 3), -6, 1]),
 
 def recorded_walks(monkeypatch, inst):
     """classify_alien on inst, with (start, target, last point, advance
-    calls) for every walk of every continued branch."""
+    calls, branch, accepted points) for every walk of every continued
+    branch."""
     walks = []
 
     class RecordedBranch(counting._Branch):
@@ -340,10 +361,15 @@ def recorded_walks(monkeypatch, inst):
             return super().advance(point, eps)
 
         def walk(self, point, target):
-            before, last = self.calls, point
-            for last in super().walk(point, target):
-                yield last
-            walks.append((point, target, last, self.calls - before, self))
+            before, accepted = self.calls, []
+            try:  # `_branch_end` leaves its walk once the branch has ended
+                for last in super().walk(point, target):
+                    accepted.append(last)
+                    yield last
+            finally:
+                last = accepted[-1] if accepted else point
+                walks.append((point, target, last, self.calls - before, self,
+                              accepted))
 
     monkeypatch.setattr(counting, "_Branch", RecordedBranch)
     return classify_alien(inst, SCHEDULE), walks
@@ -393,25 +419,58 @@ class TestStallCertificate:
         assert sum(len(b["trajectory"]) == 2 for b in report.branches) == short
         stalled = [w for w in walks if w[1] == 0.02 and w[2].eps != 0.02]
         assert stalled
-        for start, _, last, calls, branch in stalled:
+        for start, _, last, calls, branch, _ in stalled:
             assert start.eps == 0.01
             if is_real(start.t):
                 assert calls <= 5
             else:
                 # a branch that turns real on the way stops at the first
-                # rejected step after that
+                # accepted point after that
                 assert is_real(last.t) and branch.pencil.shut(last, 0.02)
+        if inst is PARTITION_15:
+            # the non-real branch from 40.47 - 0.00056i took 110 calls when
+            # the certificate was asked only after a rejected step
+            (calls,) = [w[3] for w in stalled
+                        if abs(w[0].t - (40.47 - 0.00056j)) < 1e-2]
+            assert calls < 110
 
     def test_open_chamber_walk_reaches_its_level(self, monkeypatch):
         # the non-real partition-15 branch seeded near 5572.88 - 0.92i
-        # crawls near eps = 0.0098638 on its way up and then passes 1/100
+        # crawls near eps = 0.0098638 on its way up, in log-eps steps
+        # below 1e-2, and then passes 1/100
         report, walks = recorded_walks(monkeypatch, PARTITION_15)
-        (start, _, last, calls, _), = [
+        (start, _, last, _, _, accepted), = [
             w for w in walks
             if w[1] == 0.01 and abs(w[0].t - (5572.876 - 0.9208j)) < 1e-2]
-        assert calls > 100
+        eps = [start.eps] + [point.eps for point in accepted]
+        assert min(math.log(b / a) for a, b in zip(eps, eps[1:])) < 1e-2
         assert last.eps == 0.01
         assert (last.t, start.t) in [b["trajectory"][-2:] for b in report.branches]
+
+
+class TestStepBound:
+    def test_escaping_root_moves_by_its_own_distance(self):
+        # on x^3 - 3x - eps x^4 = 0 one root z escapes like 1/eps; at slope 0
+        # it moves by eps |z^4 / (f' + eps g')(z)|, about |z|, per unit log
+        # eps, and |z| is also its distance to the other roots
+        pencil = counting._Pencil(TestStallCertificate.CUSP)
+        eps = 1e-6
+        point = counting._Point(eps, 0j, tuple(pencil.fiber(0.0, eps)), 0j)
+        assert max(abs(z) for z in point.roots) == pytest.approx(1 / eps)
+        assert pencil.reach(point) == pytest.approx(counting._REACH, rel=1e-2)
+
+    def test_downward_walks_make_no_rejected_step(self, monkeypatch):
+        # partition trial 0 of criterion 6; fixed log-eps steps of ln 2
+        # rejected 126 of the 300 steps of its downward walks
+        rng = random.Random("partition:0")
+        f = counting._random_morse_poly(rng, 3)
+        g = counting._random_poly(rng, 4)
+        inst = Instance(f, g, random_generic_cycle(3, 4, "partition:1:c"),
+                        epsilon=Fraction(1, 100))
+        _, walks = recorded_walks(monkeypatch, inst)
+        down = [w for w in walks if w[1] < w[0].eps]
+        assert down
+        assert sum(len(w[5]) for w in down) == sum(w[3] for w in down)
 
 
 class TestExperiments:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings as hyp_settings, strategies as st
 from cycle_integrals.cycles import Cycle
 from cycle_integrals.errors import InputError, NearCriticalValue
 from cycle_integrals.poly import RatPoly, critical_values
+from cycle_integrals import tracking
 from cycle_integrals.tracking import (Fiber, MonodromyRep, circulant_rank,
                                       halving_match, loop_waypoints, monodromy,
                                       orbit_rank, solve_fiber, track_path,
@@ -84,6 +85,46 @@ class TestHalvingMatch:
         images = [new[order[i]] for i in range(len(real))]
         assert all(z.imag == 0 for z in images)
         assert [z.real for z in images] == sorted(z.real for z in images)
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 5))
+    def test_same_assignment_as_the_pairwise_reference(self, data, n):
+        # on a coarse grid distances tie exactly, both between new points
+        # and with half a separation; off it, each new point is an old one
+        # moved a little
+        grid = st.builds(complex, *[st.integers(-2, 2).map(lambda k: k / 2)] * 2)
+        free = st.builds(complex, *[st.floats(-2, 2)] * 2)
+        if data.draw(st.booleans()):
+            old = data.draw(st.lists(grid, min_size=n, max_size=n))
+            new = data.draw(st.lists(grid, min_size=n, max_size=n))
+        else:
+            old = data.draw(st.lists(free, min_size=n, max_size=n))
+            perm = data.draw(st.permutations(range(n)))
+            moves = data.draw(st.lists(free, min_size=n, max_size=n))
+            new = [old[k] + 0.1 * d for k, d in zip(perm, moves)]
+        for a, b in [(old, new), (np.array(old), np.array(new))]:
+            assert tracking._nearest(a, b) == reference_nearest(a, b)
+            assert halving_match(a, b) == reference_halving_match(a, b)
+
+
+def reference_nearest(old, new):
+    # the matching as first written, scanning every pair from both ends
+    n = len(old)
+    assignment = [min(range(n), key=lambda j: abs(new[j] - old[i]))
+                  for i in range(n)]
+    return assignment if len(set(assignment)) == n else None
+
+
+def reference_halving_match(old, new):
+    n = len(old)
+    assignment = reference_nearest(old, new)
+    if assignment is None:
+        return None
+    for i in range(n):
+        sep = min(abs(old[i] - old[j]) for j in range(n) if j != i)
+        if abs(new[assignment[i]] - old[i]) >= 0.5 * sep:
+            return None
+    return assignment
 
 
 class TestTrackPath:
