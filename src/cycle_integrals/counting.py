@@ -154,7 +154,7 @@ def _zero_report(inst, oracle, bound, certificate):
 @dataclass(frozen=True)
 class _Point:
     """A certified point of a branch: epsilon, the zero t, the ordered
-    deformed fiber over t (a tuple), and the slope dt/deps of the zero."""
+    deformed fiber over t, and the slope dt/deps of the zero."""
 
     eps: float
     t: complex
