@@ -28,7 +28,7 @@ from .errors import (BranchMatchingAmbiguous, CycleIntegralsError, InputError,
 from .melnikov import (Instance, brieskorn_dimension, build_infinitesimal_oracle,
                        build_tangential_oracle, reduce_deformation)
 from .poly import RatPoly, critical_values, poly_gcd, roots_raw
-from .tracking import critical_exclusion, halving_match, separations
+from .tracking import halving_match, separations
 
 
 @dataclass(frozen=True)
@@ -408,10 +408,12 @@ def _branch_end(branch, tzeros, crit_values, r_f, horizon):
 
     A branch ends at a tangential zero (regular), at a critical value of f
     where fiber points collide (alien), or beyond the horizon while still
-    growing (alien, escaping to infinity).  It has ended at a finite limit
-    once its remaining drift |eps dt/deps| is below half the matching
-    tolerance.  Tangential zeros are tested first, since some regular
-    limits lie inside the exclusion disk of a critical value.
+    growing (alien, escaping to infinity).  It has settled once its
+    remaining drift |eps dt/deps| is below half the matching tolerance
+    match_scale*(r_f + |t|), and it ends at a tangential zero or a critical
+    value within that tolerance of t.  Tangential zeros are tested first,
+    since one that the oracle keeps, outside its small exclusion radius,
+    can lie within the matching tolerance of a critical value.
     """
     floor = branch.start.eps * DEFAULT.step_floor
     for point in itertools.chain([branch.start], branch.walk(branch.start, floor)):
@@ -423,8 +425,7 @@ def _branch_end(branch, tzeros, crit_values, r_f, horizon):
             continue
         if any(abs(t - z) <= tol for z in tzeros):
             return t, "regular", "tangential_zero"
-        cv = min(crit_values, key=lambda c: abs(t - c))
-        if abs(t - cv) <= max(tol, critical_exclusion(cv)):
+        if any(abs(t - c) <= tol for c in crit_values):
             return t, "alien", "critical_value"
     raise BranchMatchingAmbiguous(
         f"the zero continued from {branch.start.t} stalls near {point.t} "
@@ -436,13 +437,8 @@ def _trajectory(branch, levels):
     """The zero at each schedule epsilon, continued upward from the
     smallest.  It ends at the last level reached when the continuation
     stalls on the way up, where the zero collides with another zero or
-    with a critical value of f + eps*g.  A walk stops at its first point,
-    started or accepted, where a real zero has a fiber root shut in a
-    chamber of f + eps*g that closes at a cusp below the next level; the
-    proof, in `_Branch.walk`, assumes that the walk follows the real
-    branch, as its identity gates check.  Other stalls crawl down to the
-    step floor.  Neither reaches the level, so the trajectory is the same
-    either way."""
+    with a critical value of f + eps*g, or where `_Branch.walk` stops
+    because a cusp shuts the way."""
     point = branch.start
     trajectory = [point.t]
     for eps in reversed(levels[:-1]):
@@ -468,11 +464,8 @@ def classify_alien(inst, schedule):
     per call in a `_Pencil` that every branch shares.  Each log-eps step
     is sized from the fiber it starts on (`_Pencil.reach`), and the fiber
     of every Newton iterate is certified against that fiber.  An upward
-    walk stops at its first point, started or accepted, where a cusp
-    certifies that a root of its real fiber cannot reach the next level;
-    that accepted steps keep real roots real and in order is proven, and
-    that the walk stays on its real branch up to the cusp rests on the
-    identity gates (`_Branch.walk`).
+    walk stops as soon as a cusp certifies that the next level is out of
+    reach; `_Branch.walk` gives the proof.
 
     f and g are in Q[x] and the weights are integers, so the fiber over
     conj(t) at a real epsilon is the conjugate of the fiber over t, and

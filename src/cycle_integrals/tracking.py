@@ -65,24 +65,12 @@ class MonodromyRep:
         }
 
 
-def exclusion_radius(critical):
-    return DEFAULT.exclusion_scale * (1.0 + critical.spread)
-
-
-def critical_exclusion(value):
-    """Scale-aware exclusion radius around one critical value.
-
-    Per-value scaling keeps the disks proportionate when a singular
-    perturbation pushes some critical values to huge magnitudes while
-    others stay small.
-    """
-    return DEFAULT.exclusion_scale * (1.0 + abs(value))
-
-
 def per_cv_radii(critical):
-    """Loop radius per critical value, shrunk near clustered values."""
+    """Exclusion radius per critical value: exclusion_scale*(1 + spread of
+    the critical values), or 0.3 of the distance to the nearest other
+    critical value when that is smaller."""
     vals = critical.critical_values
-    r = exclusion_radius(critical)
+    r = DEFAULT.exclusion_scale * (1.0 + critical.spread)
     radii = []
     for i, cv in enumerate(vals):
         dmin = min((abs(cv - o) for j, o in enumerate(vals) if j != i),
@@ -106,8 +94,7 @@ def _sorted_roots(values, ordering):
 def solve_fiber(p, t, ordering="lex", critical=None):
     """Fiber of p at t in canonical order (``lex_sorted`` by (re, im))."""
     if critical is not None:
-        r = exclusion_radius(critical)
-        for cv in critical.critical_values:
+        for cv, r in zip(critical.critical_values, per_cv_radii(critical)):
             if abs(t - cv) <= r:
                 raise NearCriticalValue(
                     f"t={t} is within {r:g} of critical value {cv}")

@@ -315,6 +315,19 @@ class TestPlotData:
         assert code == 2
 
 
+class TestExperimentCommand:
+    def test_suite_report_is_reproducible(self, capsys, tmp_path):
+        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        for path in paths:
+            code, _ = run(capsys, "experiment", "--m", "3", "--n", "2",
+                          "--trials", "2", "--seed", "2026", "--output", path)
+            assert code == 0
+        data = json.loads(open(paths[0]).read())
+        assert data["seed"] == 2026
+        assert data["result"]["counts"]
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
 class TestDeterminism:
     def test_bit_identical_reports(self, capsys, paper_instance, tmp_path):
         a = str(tmp_path / "a.json")

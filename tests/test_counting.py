@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from cycle_integrals import counting, melnikov
 from cycle_integrals.config import DEFAULT
 from cycle_integrals.cycles import (Cycle, random_generic_cycle,
                                     regular_at_infinity)
-from cycle_integrals.errors import IdenticallyZeroIntegral, InputError
+from cycle_integrals.errors import (BranchMatchingAmbiguous,
+                                    IdenticallyZeroIntegral, InputError)
 from cycle_integrals.melnikov import (Instance, build_infinitesimal_oracle,
                                       build_tangential_oracle)
 from cycle_integrals.counting import (classify_alien, count_infinitesimal_zeros,
@@ -347,6 +349,14 @@ PARTITION_15 = Instance(RatPoly([-12, Fraction(7, 3), -6, 1]),
                         Cycle((9, -1, -8)), epsilon=Fraction(1, 100))
 
 
+def partition_draw(trial):
+    """Partition trial ``trial`` of criterion 6."""
+    rng = random.Random(f"partition:{trial}")
+    f = counting._random_morse_poly(rng, 3)
+    g = counting._random_poly(rng, 4)
+    return Instance(f, g, random_generic_cycle(3, 4, f"partition:{trial + 1}:c"))
+
+
 def recorded_walks(monkeypatch, inst):
     """classify_alien on inst, with (start, target, last point, advance
     calls, branch, accepted points) for every walk of every continued
@@ -396,6 +406,16 @@ class TestStallCertificate:
         assert len(crit) == 3
         assert crit[2] - crit[1] < 1e-2
         assert (crit[1] + crit[2]) / 2 == pytest.approx(3 ** 0.5, abs=1e-5)
+
+    def test_degree_drop_is_an_event(self):
+        # f' = 3x^2 - 3 and g' = -3x^2 + 1: f' + eps*g' drops degree at
+        # eps = 1, and W = -12x gives eps = 3 at z = 0, where the pair of
+        # critical points separates as eps grows
+        pencil = counting._Pencil(Instance(
+            RatPoly([0, -3, 0, 1]), RatPoly([0, 1, 0, -1]), Cycle((1, 1, -2))))
+        assert pencil.cusps == ((1.0, None), (3.0, None))
+        for eps, target in ((0.5, 2.0), (0.5, 5.0), (2.0, 5.0)):
+            assert not pencil.shut(counting._Point(eps, 0j, None, 0j), target)
 
     def test_certifies_only_a_root_in_the_closing_chamber(self):
         # at eps = 0.1 the right two critical values of x^3 - 3x - x^4/10
@@ -462,15 +482,53 @@ class TestStepBound:
     def test_downward_walks_make_no_rejected_step(self, monkeypatch):
         # partition trial 0 of criterion 6; fixed log-eps steps of ln 2
         # rejected 126 of the 300 steps of its downward walks
-        rng = random.Random("partition:0")
-        f = counting._random_morse_poly(rng, 3)
-        g = counting._random_poly(rng, 4)
-        inst = Instance(f, g, random_generic_cycle(3, 4, "partition:1:c"),
-                        epsilon=Fraction(1, 100))
-        _, walks = recorded_walks(monkeypatch, inst)
+        _, walks = recorded_walks(monkeypatch, partition_draw(0))
         down = [w for w in walks if w[1] < w[0].eps]
         assert down
         assert sum(len(w[5]) for w in down) == sum(w[3] for w in down)
+
+
+class TestDefectLedger:
+    """Draws that the program gets wrong today, each asserting the exact
+    value from sympy resultants.  A fix turns its test into an unexpected
+    pass, and the fix drops the mark."""
+
+    DRAW_32 = Instance(RatPoly([Fraction(11, 2), 0, -3, 1]),
+                       RatPoly([Fraction(-4, 3), -1, 1]), Cycle((-8, 2, 6)))
+    MERGED = ("two zeros within one cluster radius of a critical value merge, "
+              "and the merged cluster is excluded")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "counts 4: the first-order ring ratio passes the split triple zero "
+        "at the critical value 3/2 as three regular zeros"))
+    def test_32_draw_tangential_count(self):
+        assert count_tangential_zeros(self.DRAW_32).count == 1
+
+    @pytest.mark.xfail(strict=True, reason="counts 2 displacement zeros at eps = 1/100")
+    def test_32_draw_infinitesimal_count(self):
+        inst = replace(self.DRAW_32, epsilon=Fraction(1, 100))
+        assert count_infinitesimal_zeros(inst).count == 4
+
+    @pytest.mark.parametrize("inst", [
+        pytest.param(partition_draw(24), id="partition24", marks=pytest.mark.xfail(
+            strict=True, reason=("counts 5: three zeros within 7.1e-5 of the "
+                                 "critical value -16.7512 are excluded"))),
+        pytest.param(partition_draw(77), id="partition77", marks=pytest.mark.xfail(
+            strict=True, reason=f"counts 6: {MERGED} (5/3)")),
+        pytest.param(Instance(RatPoly([Fraction(5, 3), Fraction(-1, 3), -1, 1]),
+                              RatPoly([3, Fraction(-3, 2), Fraction(-1, 3), 0, 1]),
+                              Cycle((4, -6, 2))),
+                     id="sweep1-34-trial43", marks=pytest.mark.xfail(
+            strict=True, reason=f"counts 6: {MERGED} (1.690995)")),
+    ])
+    def test_34_tangential_count(self, inst):
+        assert count_tangential_zeros(inst).count == 8
+
+    @pytest.mark.xfail(strict=True, raises=BranchMatchingAmbiguous, reason=(
+        "the downward walk of a branch stalls near eps = 1.9e-3"))
+    def test_partition_38_classifies(self):
+        assert isinstance(classify_alien(partition_draw(38), SCHEDULE),
+                          counting.AlienReport)
 
 
 class TestExperiments:

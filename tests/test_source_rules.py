@@ -44,6 +44,27 @@ def test_every_setting_is_read():
     assert not unread, unread
 
 
+def test_one_exclusion_radius_rule():
+    # what counts as near a critical value has one rule: exclusion_scale is
+    # read in tracking.per_cv_radii and nowhere else
+    def reads(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "exclusion_scale"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "DEFAULT"]
+
+    everywhere, inside = [], []
+    for path, tree in _package_trees():
+        everywhere += [f"{path.name}:{line}" for line in reads(tree)]
+        if path.name == "tracking.py":
+            (rule,) = [node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "per_cv_radii"]
+            inside += [f"{path.name}:{line}" for line in reads(rule)]
+    assert inside and everywhere == inside, everywhere
+
+
 def test_no_settings_parameter():
     # tolerances are constants read from config.DEFAULT, never passed in
     offenders = []

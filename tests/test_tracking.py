@@ -6,14 +6,22 @@ import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from cycle_integrals.cycles import Cycle
-from cycle_integrals.errors import InputError, NearCriticalValue
+from cycle_integrals.errors import (InputError, MatchingAmbiguous,
+                                   NearCriticalValue, PathThroughCriticalDisk)
 from cycle_integrals.poly import RatPoly, critical_values
 from cycle_integrals import tracking
 from cycle_integrals.tracking import (Fiber, MonodromyRep, circulant_rank,
                                       halving_match, loop_waypoints, monodromy,
-                                      orbit_rank, solve_fiber, track_path,
-                                      exclusion_radius)
+                                      orbit_rank, per_cv_radii, solve_fiber,
+                                      track_path)
 from cycle_integrals.config import DEFAULT
+
+
+def nearest_radius(crit, value):
+    """The critical value nearest ``value`` and its `per_cv_radii` entry."""
+    radii = dict(zip(crit.critical_values, per_cv_radii(crit)))
+    cv = min(radii, key=lambda v: abs(v - value))
+    return cv, radii[cv]
 
 
 def cube_roots_of_unity():
@@ -147,9 +155,8 @@ class TestTrackPath:
         f = RatPoly([0, 0, 1, 1])
         crit = critical_values(f)
         fib = solve_fiber(f.to_complex(), 1.0, critical=crit)
-        cv = min(crit.critical_values, key=lambda v: abs(v - 4 / 27))
-        out = track_path(fib, loop_waypoints(1.0, cv, exclusion_radius(crit)),
-                         critical=crit)
+        cv, radius = nearest_radius(crit, 4 / 27)
+        out = track_path(fib, loop_waypoints(1.0, cv, radius), critical=crit)
         moved = [i for i, (a, b) in enumerate(zip(fib.roots, out.roots))
                  if abs(a - b) > 1e-6]
         assert len(moved) == 2
@@ -162,14 +169,28 @@ class TestTrackPath:
         crit = critical_values(f)
         rep = monodromy(f)
         cv, perm = rep.loops[0]
+        _, radius = nearest_radius(crit, cv)
         fib = rep.fiber
         twice = track_path(
-            fib, loop_waypoints(rep.basepoint, cv,
-                                exclusion_radius(crit), turns=2),
+            fib, loop_waypoints(rep.basepoint, cv, radius, turns=2),
             critical=crit)
         got = _permutation(fib, twice)
         once_sq = tuple(perm[perm[i]] for i in range(len(perm)))
         assert got == once_sq
+
+    def test_path_through_a_critical_value_rejected(self):
+        # the segment from 1 to -1 passes both critical values 4/27 and 0
+        f = RatPoly([0, 0, 1, 1])
+        crit = critical_values(f)
+        fib = solve_fiber(f.to_complex(), 1.0, critical=crit)
+        with pytest.raises(PathThroughCriticalDisk):
+            track_path(fib, [-1.0], critical=crit)
+
+    def test_step_underflow_raises(self, monkeypatch):
+        monkeypatch.setattr(tracking, "halving_match", lambda old, new: None)
+        fib = solve_fiber(RatPoly([0, 0, 1, 1]).to_complex(), 1.0)
+        with pytest.raises(MatchingAmbiguous, match="underflow"):
+            track_path(fib, [2.0])
 
 
 class TestMonodromy:
@@ -250,6 +271,17 @@ class TestMonodromy:
         for perm in reversed(rep.generators()):
             composed = [perm[i] for i in composed]
         assert tuple(composed) == rep.infinity_permutation
+
+    def test_basepoint_guard_is_twice_the_radius(self):
+        # 1.5 radii from 4/27 passes the fiber guard of solve_fiber but not
+        # the basepoint guard of monodromy, which keeps keyholes clear
+        f = RatPoly([0, 0, 1, 1])
+        crit = critical_values(f)
+        _, radius = nearest_radius(crit, 4 / 27)
+        t0 = 4 / 27 + 1.5 * radius
+        solve_fiber(f.to_complex(), t0, critical=crit)
+        with pytest.raises(NearCriticalValue):
+            monodromy(f, basepoint=t0)
 
     def test_quartic_splitting_example(self):
         rep = monodromy(RatPoly([0, 0, -1, 0, 1]), basepoint=-0.125,
