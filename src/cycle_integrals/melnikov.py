@@ -21,12 +21,16 @@ a sign-symmetric product starts at 40 digits.  Every rung runs the same
 fit loop.  A double rung runs on numpy; a rung of 40 digits or more runs
 its fiber solves, factor evaluations, sample products, DFT, noise floors
 and root extraction on the (re, im) Decimal pairs of ``precision``, the
-one extended-precision kernel, on ``decimal``.  Each fiber solve and each
-extraction at 40 digits or more accepts a root by one residual test, or
-raises NonConvergence.  A rung is accepted when every extracted zero
-passes the first-order ring ratio on the double fiber over it and, for a
-sign-symmetric product, every regular zero cluster has even size; this
-module alone decides zero multiplicities.  A double fit is accepted only
+one extended-precision kernel, on ``decimal``.  The double fibers over the
+upper half circle are solved once per build: the double rung samples on
+them, and each fiber solve at 40 digits or more starts from the double
+fiber over its own sample, so the extended iteration only polishes.  Each
+fiber solve and each extraction at 40 digits or more accepts a root by one
+residual test, or raises NonConvergence.  A rung is accepted when every
+regular zero cluster, away from the critical values of the fiber
+polynomial, passes the first-order ring ratio on the double fiber over it
+and, for a sign-symmetric product, has even size; this module alone
+decides zero multiplicities.  A double fit is accepted only
 at the full declared degree; a fit at 40 digits or more may be shorter
 than the bound.  A product that vanishes identically raises
 IdenticallyZeroIntegral where it is seen: g reducing to zero, or a fit.
@@ -201,10 +205,13 @@ class _ProductSampler:
     its weights to their negatives, which gives every zero of the product
     even multiplicity.  ``fiber`` and ``factors`` work in doubles when
     ``dps`` is None and on the kernel's pairs at ``dps`` digits otherwise.
+    ``crit_values``, the critical values of p, bound the disk of
+    ``ring_ratio``.
     """
 
-    def __init__(self, p, integrand, cycle, assignments):
+    def __init__(self, p, integrand, cycle, assignments, crit_values=()):
         self.p = p
+        self.crit_values = crit_values
         self.integrand = integrand
         weights = cycle.weights
         support = [j for j, w in enumerate(weights) if w]
@@ -222,6 +229,7 @@ class _ProductSampler:
         self.dh = integrand.derivative().to_complex()
         self.dp = p.derivative().to_complex()
         self._cache = {}
+        self._circles = {}
 
     def _coeffs(self, poly, dps):
         """Coefficients of ``poly`` at precision ``dps``, cached."""
@@ -237,6 +245,22 @@ class _ProductSampler:
         if dps is None:
             return roots_raw((c[0] - t,) + c[1:], init=init)
         return aberth_mp(shifted(c, t, dps), dps, init=init)
+
+    def circle_fibers(self, radius, k_count):
+        """The double fibers over the upper half circle, t_k = radius *
+        exp(2 pi i k / k_count) for k = 0 .. k_count // 2: the first cold,
+        each later one warm from the one before it.  Solved once per
+        (radius, k_count); every rung of the ladder reads them."""
+        key = (radius, k_count)
+        if key not in self._circles:
+            roots = None
+            fibers = []
+            for k in range(k_count // 2 + 1):
+                roots = self.fiber(radius * cmath.exp(2j * cmath.pi * k / k_count),
+                                   None, init=roots)
+                fibers.append(roots)
+            self._circles[key] = fibers
+        return self._circles[key]
 
     def factors(self, roots, dps):
         """The distinct branch factors on a fiber, and whether one of them
@@ -256,13 +280,21 @@ class _ProductSampler:
         return factors, not min(log10_abs(v) for v in factors) > floor
 
     def ring_ratio(self, t):
-        """|N(t)| against |N| at distance delta = ring_delta * (1 + |t|), to
-        first order, from the fiber over t: the product over the distinct
-        factors F of min(1, |F| / (|F'| delta)), F' = sum_j w_j h'(z_j) /
-        p'(z_j).  A zero of multiplicity k extracted with error e scores
-        ~ (e/delta)^k and a phantom root O(1); an exact zero scores 0, and a
-        ratio that is not finite is inf."""
-        delta = DEFAULT.ring_delta * (1.0 + abs(t))
+        """|N(t)| against |N| at distance delta, to first order, from the
+        fiber over t: the product over the distinct factors F of
+        min(1, |F| / (|F'| delta)), F' = sum_j w_j h'(z_j) / p'(z_j).
+
+        delta is ring_delta * (1 + |t|), but at most half the distance from
+        t to the nearest critical value c of p: near c two fiber roots
+        collide, p' vanishes and |F'| grows like |t - c|^(-1/2), so the
+        first-order model holds only on a disk that leaves c outside.  A
+        zero of multiplicity k extracted with error e scores ~ (e/delta)^k
+        and a phantom root O(1); an exact zero scores 0, and a zero on a
+        critical value, or a ratio that is not finite, scores inf."""
+        delta = min([DEFAULT.ring_delta * (1.0 + abs(t))]
+                    + [0.5 * abs(t - c) for c in self.crit_values])
+        if delta == 0.0:
+            return math.inf
         roots = np.asarray(self.fiber(t, None), dtype=complex)
         factors, _ = self.factors(roots, None)
         if np.any(factors == 0.0):
@@ -282,7 +314,12 @@ def _fit(sampler, degree_bound, radius, dps):
     conjugate of the fiber over t and the product N has real coefficients:
     N(conj t) = conj N(t).  Only the upper half circle, k = 0 .. K//2, is
     solved and evaluated; the other samples are the exact conjugates of
-    their mirrors.  In doubles each factor is prescaled by one real number,
+    their mirrors.  The double fibers over these samples come from
+    ``sampler.circle_fibers``, solved once per build; the double fit
+    samples on them, and at ``dps`` digits the fiber over sample k is
+    solved by ``aberth_mp`` from the double fiber over sample k.  The
+    product is a symmetric function of the fiber, so the order of its roots
+    does not matter.  In doubles each factor is prescaled by one real number,
     taken at the real point t = radius, so the product stays in range; at
     ``dps`` digits the samples are normalised to a largest modulus of 1
     instead.  Returns the coefficients up to ``degree_bound``, the largest
@@ -292,17 +329,19 @@ def _fit(sampler, degree_bound, radius, dps):
     """
     k_count = DEFAULT.samples_factor * (degree_bound + 1)
     upper = k_count // 2 + 1
-    circle = ([radius * cmath.exp(2j * cmath.pi * k / k_count)
-               for k in range(upper)] if dps is None
-              else circle_mp(radius, k_count, upper, dps))
+    fibers = sampler.circle_fibers(radius, k_count)
+    if dps is not None:
+        # the double fiber over each sample is accurate to ~tol_root, so
+        # the extended solve starts from it and only polishes
+        fibers = (sampler.fiber(t, dps, init=seed) for t, seed in
+                  zip(circle_mp(radius, k_count, upper, dps), fibers))
     # a branch vanishing to noise at every sample means the product is
     # identically zero (a nonzero polynomial of degree <= D cannot be tiny
     # at all K > D samples)
     all_zero = True
-    rescale = roots = None
+    rescale = None
     samples = []
-    for t in circle:
-        roots = sampler.fiber(t, dps, init=roots)
+    for roots in fibers:
         factors, vanishing = sampler.factors(roots, dps)
         all_zero = all_zero and vanishing
         if dps is not None:
@@ -357,7 +396,8 @@ def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
 
 def _verify_zeros(sampler, clusters):
     """Check the first-order ring ratio of the first member of each zero
-    cluster against root_verify.
+    cluster against root_verify; the caller passes only the clusters it
+    counts.
 
     The ratio comes from the one fiber over the zero in doubles, whatever
     precision produced the fit: the branch factors and their Newton steps
@@ -373,7 +413,8 @@ def _split_regular(clusters, crit_values):
     The exclusion radius adapts to the observed cluster scatter: a cluster
     is a critical-value artifact when its center lies within its own
     extraction noise of the value.  Genuine zeros merely close to a
-    critical value (alien limits approaching it) survive.  Both tuples are
+    critical value (alien limits approaching it) survive.  Returns the
+    regular clusters, as (center, members), and the excluded centers, both
     in ``lex_sorted`` order.
     """
     regular = []
@@ -387,7 +428,7 @@ def _split_regular(clusters, crit_values):
         if near:
             excluded.append(center)
         else:
-            regular.append((center, len(members)))
+            regular.append((center, members))
     return (tuple(lex_sorted(regular, DEFAULT.tol_cluster, key=lambda zm: zm[0])),
             tuple(lex_sorted(excluded, DEFAULT.tol_cluster)))
 
@@ -410,14 +451,19 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
     its Decimal pairs, and its zeros are rounded to doubles.  A
     sign-symmetric product starts at 40 digits: a double fit locates a
     double zero to about the square root of its residual, so its ring
-    ratio seldom passes.
+    ratio seldom passes.  The sampler solves the double fibers over the
+    upper half circle once, at the first rung, in doubles: every rung
+    reads them, the double rung as its samples and each rung of 40 digits
+    or more as the seeds of its fiber solves, so a sign-symmetric product
+    solves them for the seeds alone.
 
     Zeros are clustered at cluster_scale * (base_scale + |z|), base_scale
     from the critical values of f (those of f + eps*g lie far out when
-    deg g > deg f); the first-order ring ratio checks the first zero of each
-    cluster, and the clusters on a critical value of p are set apart.  Under
-    a sign symmetry an odd regular cluster means the rung split a multiple
-    zero.
+    deg g > deg f), and the clusters on a critical value of p are set
+    apart.  The first-order ring ratio then checks the first zero of each
+    regular cluster; an excluded cluster carries no count and is not
+    checked.  Under a sign symmetry an odd regular cluster means the rung
+    split a multiple zero.
     """
     if p.degree > DEFAULT.oracle_fiber_cap:
         raise InputError(
@@ -426,7 +472,8 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
         raise InputError(
             f"oracle degree bound {degree_bound} exceeds cap {DEFAULT.degree_cap}")
     sampler = _ProductSampler(p, integrand, cycle,
-                              tuple(itertools.permutations(range(p.degree), cycle.m)))
+                              tuple(itertools.permutations(range(p.degree), cycle.m)),
+                              crit_p.critical_values)
     degree_bound //= sampler.power
     radius = DEFAULT.radius_factor * (1.0 + crit_p.max_abs)
     base_scale = DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
@@ -451,15 +498,17 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
             zeros = tuple(radius * to_complex(u) for u in
                           aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp))
             coeffs = [to_complex(c) for c in coeffs]
-        clusters = cluster_points(zeros, tol)
-        if not _verify_zeros(sampler, clusters):
+        regular, excluded = _split_regular(cluster_points(zeros, tol),
+                                           crit_p.critical_values)
+        if not _verify_zeros(sampler, regular):
             continue
-        regular, excluded = _split_regular(clusters, crit_p.critical_values)
-        if sampler.signed and any(mult % 2 for _, mult in regular):
+        if sampler.signed and any(len(members) % 2 for _, members in regular):
             continue
         return OraclePoly(kind, tuple(complex(c) for c in coeffs), radius,
-                          degree_bound, fitted, residual, dps,
-                          zeros, regular, excluded, integrand.degree)
+                          degree_bound, fitted, residual, dps, zeros,
+                          tuple((center, len(members))
+                                for center, members in regular),
+                          excluded, integrand.degree)
     raise FitRejected(
         f"{kind} oracle fit failed at every precision (last residual "
         f"{last_residual})")

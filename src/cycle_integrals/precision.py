@@ -9,9 +9,11 @@ entered with ``decimal.localcontext`` on a copy, so the caller's context
 is neither read nor changed.  ``decimal`` runs on libmpdec, in C, and is
 the one extended-precision library: the roots of unity of the sampling
 circle and of the DFT are the double values refined by Newton's
-iteration, cached once per (count, dps).  A cold-start root solve begins
-from the companion-matrix roots of the coefficients rounded to doubles,
-so the iteration only polishes them.
+iteration, cached once per (count, dps).  A root solve polishes a double
+approximation: a seeded solve starts from the roots its caller passes (the
+oracle fit passes the double fiber over the same sample), and a cold
+start begins from the companion-matrix roots of the coefficients rounded
+to doubles.
 """
 
 import cmath
@@ -225,10 +227,12 @@ def aberth_mp(coeffs, dps, init=None, tol_exp=None):
     """All roots of an ascending list of coefficient pairs at ``dps``
     digits, as pairs.
 
-    The iteration starts from ``init`` when it holds ``d`` distinct points,
-    else from the double-precision companion roots when the coefficients
-    fit in doubles and the roots are distinct at 12 digits, else from the
-    Newton-polygon circles of ``_newton_polygon_start``.  A root is
+    A seeded solve starts from ``init`` when it holds ``d`` points
+    distinct at 12 digits, as a double-precision fiber of the same
+    polynomial does.  A cold start, with no such ``init``, begins from the
+    double-precision companion roots when the coefficients fit in doubles
+    and the roots are distinct at 12 digits, else from the Newton-polygon
+    circles of ``_newton_polygon_start``.  A root is
     accepted when |p(z)| <= 10**-tol_exp * max_i |c_i| |z|^i, tested in
     log10.  ``tol_exp`` is dps - 4 unless a caller lowers it: multiple
     roots converge only linearly, so callers that need limited root

@@ -498,11 +498,16 @@ class TestDefectLedger:
     MERGED = ("two zeros within one cluster radius of a critical value merge, "
               "and the merged cluster is excluded")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "counts 4: the first-order ring ratio passes the split triple zero "
-        "at the critical value 3/2 as three regular zeros"))
     def test_32_draw_tangential_count(self):
+        # the split triple zero at the critical value 3/2 must not pass the
+        # ring ratio as three regular zeros
         assert count_tangential_zeros(self.DRAW_32).count == 1
+
+    def test_32_draw_classifies_one_regular_and_one_alien(self):
+        report = classify_alien(replace(self.DRAW_32, epsilon=Fraction(1, 100)),
+                                SCHEDULE)
+        assert (report.tangential_count, report.regular_count,
+                report.alien_count) == (1, 1, 1)
 
     @pytest.mark.xfail(strict=True, reason="counts 2 displacement zeros at eps = 1/100")
     def test_32_draw_infinitesimal_count(self):
@@ -524,10 +529,20 @@ class TestDefectLedger:
     def test_34_tangential_count(self, inst):
         assert count_tangential_zeros(inst).count == 8
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "counts 16: the cluster radius (about 6e-3, set by the critical "
+        "value 1546) merges two zeros near -10.6875"))
+    def test_sweep1_43_trial10_tangential_count(self):
+        inst = Instance(RatPoly([-10, 0, -8, 10, 1]),
+                        RatPoly([Fraction(-11, 2), Fraction(-5, 2), 3, 11]),
+                        Cycle((6, -2, -4, 0)))
+        assert count_tangential_zeros(inst).count == 18
+
+    @pytest.mark.parametrize("trial", [38, 47, 66, 88, 181, 187, 191])
     @pytest.mark.xfail(strict=True, raises=BranchMatchingAmbiguous, reason=(
-        "the downward walk of a branch stalls near eps = 1.9e-3"))
-    def test_partition_38_classifies(self):
-        assert isinstance(classify_alien(partition_draw(38), SCHEDULE),
+        "the downward walk of a branch stalls between eps = 1.9e-3 and 4.9e-3"))
+    def test_partition_38_classifies(self, trial):
+        assert isinstance(classify_alien(partition_draw(trial), SCHEDULE),
                           counting.AlienReport)
 
 

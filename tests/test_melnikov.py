@@ -284,16 +284,23 @@ def _sampler(inst):
                            tuple(itertools.permutations(range(inst.m))))
 
 
-def _count_calls(monkeypatch, name):
+def _fiber_calls(monkeypatch):
+    """(t, dps, init, roots) of every fiber solve of a ``_ProductSampler``,
+    in call order."""
     calls = []
-    original = getattr(_ProductSampler, name)
+    original = _ProductSampler.fiber
 
-    def counted(self, *args, **kwargs):
-        calls.append(args[0])
-        return original(self, *args, **kwargs)
+    def recorded(self, t, dps, init=None):
+        roots = original(self, t, dps, init=init)
+        calls.append((t, dps, init, roots))
+        return roots
 
-    monkeypatch.setattr(_ProductSampler, name, counted)
+    monkeypatch.setattr(_ProductSampler, "fiber", recorded)
     return calls
+
+
+def _upper_half_count(oracle):
+    return DEFAULT.samples_factor * (oracle.declared_degree_bound + 1) // 2 + 1
 
 
 class TestHalfCircleSampling:
@@ -303,19 +310,58 @@ class TestHalfCircleSampling:
     def test_double_fit_solves_upper_half(self, monkeypatch):
         inst = Instance(PAPER_F, PAPER_G, PAPER_C)
         oracle = build_tangential_oracle(inst)
-        calls = _count_calls(monkeypatch, "fiber")
+        calls = _fiber_calls(monkeypatch)
         _fit(_sampler(inst), oracle.declared_degree_bound, oracle.radius, None)
-        k_count = DEFAULT.samples_factor * (oracle.declared_degree_bound + 1)
-        assert len(calls) == k_count // 2 + 1
-        assert all(t.imag >= 0 for t in calls)
+        assert len(calls) == _upper_half_count(oracle)
+        assert all(dps is None and t.imag >= 0 for t, dps, _, _ in calls)
 
     def test_mp_fit_solves_upper_half(self, monkeypatch):
+        # the extended solves and the double solves that seed them each
+        # cover the upper half circle once
         oracle = build_tangential_oracle(TRIAL0)
         assert oracle.precision_dps == 40
-        calls = _count_calls(monkeypatch, "fiber")
+        calls = _fiber_calls(monkeypatch)
         _fit(_sampler(TRIAL0), oracle.declared_degree_bound, oracle.radius, 40)
-        k_count = DEFAULT.samples_factor * (oracle.declared_degree_bound + 1)
-        assert len(calls) == k_count // 2 + 1
+        extended = [t for t, dps, _, _ in calls if dps == 40]
+        seeds = [t for t, dps, _, _ in calls if dps is None]
+        assert len(extended) == len(seeds) == _upper_half_count(oracle)
+        assert all(t.imag >= 0 for t in seeds)
+        assert all(abs(to_complex(t) - s) <= 1e-12 * oracle.radius
+                   for t, s in zip(extended, seeds))
+
+
+class TestCircleSeeds:
+    """The double fibers over the circle are solved once per build; the
+    double rung samples on them and every extended rung starts its fiber
+    solve over each sample from the double fiber over that sample."""
+
+    def test_build_solves_each_double_circle_fiber_once(self, monkeypatch):
+        # trial 0 fits in doubles, is rejected and climbs to 40 digits
+        calls = _fiber_calls(monkeypatch)
+        oracle = build_tangential_oracle(TRIAL0)
+        assert oracle.precision_dps == 40
+        assert any(dps == 40 for _, dps, _, _ in calls)
+        circle = [t for t, dps, _, _ in calls if dps is None
+                  and abs(abs(t) - oracle.radius) <= 1e-12 * oracle.radius]
+        assert len(circle) == _upper_half_count(oracle)
+
+    @pytest.mark.parametrize("inst", [
+        pytest.param(TRIAL0, id="trial0"),
+        pytest.param(Instance(PAPER_F, PAPER_G, Cycle((1, -1, 0))),
+                     id="paper-sign-symmetric"),
+    ])
+    def test_extended_solves_start_from_their_own_double_fiber(
+            self, monkeypatch, inst):
+        calls = _fiber_calls(monkeypatch)
+        oracle = build_tangential_oracle(inst)
+        doubles = [(t, roots) for t, dps, _, roots in calls if dps is None]
+        extended = [(t, init) for t, dps, init, _ in calls if dps is not None]
+        assert extended
+        for t, init in extended:
+            t = to_complex(t)
+            seed = [roots for s, roots in doubles
+                    if abs(s - t) <= 1e-12 * oracle.radius]
+            assert len(seed) == 1 and init is seed[0]
 
     @pytest.mark.parametrize("inst, dps, rel", [
         pytest.param(Instance(PAPER_F, PAPER_G, PAPER_C), None, 1e-12,
@@ -351,9 +397,26 @@ class TestRingRatio:
 
     def test_solves_one_fiber(self, monkeypatch):
         sampler = _sampler(Instance(PAPER_F, PAPER_G, PAPER_C))
-        calls = _count_calls(monkeypatch, "fiber")
+        calls = _fiber_calls(monkeypatch)
         sampler.ring_ratio(4 / 27 + 1e-7)
-        assert calls == [4 / 27 + 1e-7]
+        assert [(t, dps) for t, dps, _, _ in calls] == [(4 / 27 + 1e-7, None)]
+
+    def test_disk_stops_short_of_a_critical_value(self):
+        # the paper example's double zero sits on the critical value 4/27,
+        # split by about 1e-7: with the critical values known, the ring
+        # shrinks to half the distance to 4/27 and the split zeros fail,
+        # a point on a critical value scores inf, and far from them
+        # nothing changes
+        inst = Instance(PAPER_F, PAPER_G, PAPER_C)
+        oracle = build_tangential_oracle(inst)
+        blind = _sampler(inst)
+        crit = critical_values(inst.f).critical_values
+        sampler = _ProductSampler(inst.f, inst.g, inst.cycle,
+                                  tuple(itertools.permutations(range(3))), crit)
+        assert all(sampler.ring_ratio(z) > DEFAULT.root_verify
+                   for z in oracle.zeros)
+        assert all(sampler.ring_ratio(c) == math.inf for c in crit)
+        assert sampler.ring_ratio(1.0) == blind.ring_ratio(1.0)
 
     def test_zeros_pass_and_phantom_fails(self):
         inst = Instance(PAPER_F, PAPER_G, PAPER_C)
