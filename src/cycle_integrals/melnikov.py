@@ -30,9 +30,9 @@ residual test, or raises NonConvergence.  A rung is accepted when every
 regular zero cluster, away from the critical values of the fiber
 polynomial, passes the first-order ring ratio on the double fiber over it
 and, for a sign-symmetric product, has even size; this module alone
-decides zero multiplicities.  A double fit is accepted only
-at the full declared degree; a fit at 40 digits or more may be shorter
-than the bound.  A product that vanishes identically raises
+decides zero multiplicities.  A double fit is accepted only at the full
+declared degree; a fit at 40 digits or more may be shorter than the
+bound.  A product that vanishes identically raises
 IdenticallyZeroIntegral where it is seen: g reducing to zero, or a fit.
 """
 
@@ -209,7 +209,7 @@ class _ProductSampler:
     ``ring_ratio``.
     """
 
-    def __init__(self, p, integrand, cycle, assignments, crit_values=()):
+    def __init__(self, p, integrand, cycle, assignments, crit_values):
         self.p = p
         self.crit_values = crit_values
         self.integrand = integrand
@@ -314,12 +314,11 @@ def _fit(sampler, degree_bound, radius, dps):
     conjugate of the fiber over t and the product N has real coefficients:
     N(conj t) = conj N(t).  Only the upper half circle, k = 0 .. K//2, is
     solved and evaluated; the other samples are the exact conjugates of
-    their mirrors.  The double fibers over these samples come from
-    ``sampler.circle_fibers``, solved once per build; the double fit
-    samples on them, and at ``dps`` digits the fiber over sample k is
-    solved by ``aberth_mp`` from the double fiber over sample k.  The
-    product is a symmetric function of the fiber, so the order of its roots
-    does not matter.  In doubles each factor is prescaled by one real number,
+    their mirrors.  The double fit samples on ``sampler.circle_fibers``; at
+    ``dps`` digits ``aberth_mp`` solves the fiber over sample k from the
+    double fiber over sample k, accurate to ~tol_root, and only polishes
+    it.  The product is symmetric in the fiber, so root order does not
+    matter.  In doubles each factor is prescaled by one real number,
     taken at the real point t = radius, so the product stays in range; at
     ``dps`` digits the samples are normalised to a largest modulus of 1
     instead.  Returns the coefficients up to ``degree_bound``, the largest
@@ -331,8 +330,6 @@ def _fit(sampler, degree_bound, radius, dps):
     upper = k_count // 2 + 1
     fibers = sampler.circle_fibers(radius, k_count)
     if dps is not None:
-        # the double fiber over each sample is accurate to ~tol_root, so
-        # the extended solve starts from it and only polishes
         fibers = (sampler.fiber(t, dps, init=seed) for t, seed in
                   zip(circle_mp(radius, k_count, upper, dps), fibers))
     # a branch vanishing to noise at every sample means the product is
@@ -451,11 +448,9 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
     its Decimal pairs, and its zeros are rounded to doubles.  A
     sign-symmetric product starts at 40 digits: a double fit locates a
     double zero to about the square root of its residual, so its ring
-    ratio seldom passes.  The sampler solves the double fibers over the
-    upper half circle once, at the first rung, in doubles: every rung
-    reads them, the double rung as its samples and each rung of 40 digits
-    or more as the seeds of its fiber solves, so a sign-symmetric product
-    solves them for the seeds alone.
+    ratio seldom passes.  The double circle fibers are solved once, at the
+    first rung, and every rung reads them (see ``_fit``); a sign-symmetric
+    product solves them only to seed its extended fits.
 
     Zeros are clustered at cluster_scale * (base_scale + |z|), base_scale
     from the critical values of f (those of f + eps*g lie far out when
