@@ -333,6 +333,35 @@ class TestHalfCircleSampling:
                    for t, s in zip(extended, seeds))
 
 
+    @pytest.mark.parametrize("inst, dps, rel", [
+        pytest.param(Instance(PAPER_F, PAPER_G, PAPER_C), None, 1e-12,
+                     id="paper-double"),
+        pytest.param(TRIAL0, 40, 1e-30, id="trial0-40"),
+    ])
+    def test_lower_half_is_conjugate_of_upper(self, inst, dps, rel):
+        # N(conj t) = conj N(t), each side from its own fiber solve
+        radius = build_tangential_oracle(inst).radius
+        sampler = _sampler(inst)
+
+        def sample(turns):
+            turn = mp.expjpi(turns)
+            if dps is None:
+                t = radius * complex(turn)
+            else:
+                t = tuple(Decimal(mp.nstr(radius * x, dps + 10))
+                          for x in (turn.real, turn.imag))
+            factors, _ = sampler.factors(sampler.fiber(t, dps), dps)
+            if dps is None:
+                return complex(np.prod(factors))
+            return mp.mpc(*(str(x) for x in product_mp(factors, dps)))
+
+        with mp.workdps(dps or 15):
+            for q in (1, 2, 3):
+                low = sample(-mp.mpf(q) / 4)
+                high = sample(mp.mpf(q) / 4)
+                assert abs(low - mp.conj(high)) <= rel * abs(low)
+
+
 class TestCircleSeeds:
     """The double fibers over the circle are solved once per build; the
     double rung samples on them and every extended rung starts its fiber
@@ -364,34 +393,6 @@ class TestCircleSeeds:
             seed = [roots for s, roots in doubles
                     if abs(s - t) <= 1e-12 * oracle.radius]
             assert len(seed) == 1 and init is seed[0]
-
-    @pytest.mark.parametrize("inst, dps, rel", [
-        pytest.param(Instance(PAPER_F, PAPER_G, PAPER_C), None, 1e-12,
-                     id="paper-double"),
-        pytest.param(TRIAL0, 40, 1e-30, id="trial0-40"),
-    ])
-    def test_lower_half_is_conjugate_of_upper(self, inst, dps, rel):
-        # N(conj t) = conj N(t), each side from its own fiber solve
-        radius = build_tangential_oracle(inst).radius
-        sampler = _sampler(inst)
-
-        def sample(turns):
-            turn = mp.expjpi(turns)
-            if dps is None:
-                t = radius * complex(turn)
-            else:
-                t = tuple(Decimal(mp.nstr(radius * x, dps + 10))
-                          for x in (turn.real, turn.imag))
-            factors, _ = sampler.factors(sampler.fiber(t, dps), dps)
-            if dps is None:
-                return complex(np.prod(factors))
-            return mp.mpc(*(str(x) for x in product_mp(factors, dps)))
-
-        with mp.workdps(dps or 15):
-            for q in (1, 2, 3):
-                low = sample(-mp.mpf(q) / 4)
-                high = sample(mp.mpf(q) / 4)
-                assert abs(low - mp.conj(high)) <= rel * abs(low)
 
 
 class TestRingRatio:
