@@ -197,8 +197,8 @@ def _cmd_infinitesimal(args):
 def _cmd_alien(args):
     inst, seed = load_instance(args.instance)
     schedule = parse_fraction_list(args.schedule)
-    if inst.epsilon is None:
-        inst = replace(inst, epsilon=schedule[-1])
+    # the report states the epsilon that classify_alien counts at
+    inst = replace(inst, epsilon=schedule[-1])
     report = classify_alien(inst, schedule)
     payload = {"command": "alien",
                "instance": instance_to_dict(inst, seed),

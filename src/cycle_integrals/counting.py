@@ -601,6 +601,8 @@ def run_sharpness_experiment(m, n, kind, trials, seed, cycle_mode="generic",
     """
     if kind not in ("tangential", "infinitesimal"):
         raise InputError(f"unknown experiment kind {kind!r}")
+    if cycle_mode not in ("generic", "simple"):
+        raise InputError(f"unknown cycle mode {cycle_mode!r}")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if kind == "infinitesimal" and Fraction(epsilon) == 0:

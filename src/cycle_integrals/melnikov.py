@@ -17,14 +17,16 @@ or of even multiplicity when a sign symmetry of the cycle pairs each factor
 F with -F.  Zeros far outside the circle make the top coefficients small;
 the circle stays, and the build climbs one fixed precision ladder
 (doubles, then 40, 80, 160 and 320 digits) until the fit resolves them;
-a sign-symmetric product starts at 40 digits.  Every rung runs the same
-fit loop.  A double rung runs on numpy; a rung of 40 digits or more runs
-its fiber solves, factor evaluations, sample products, DFT, noise floors
-and root extraction on the (re, im) Decimal pairs of ``precision``, the
-one extended-precision kernel, on ``decimal``.  The double fibers over the
-upper half circle are solved once per build: the double rung samples on
-them, and each fiber solve at 40 digits or more starts from the double
-fiber over its own sample, so the extended iteration only polishes.  Each
+a sign-symmetric product starts at 40 digits.  The product sampler works
+in doubles only: its fibers, branch factors and ring ratios.  Every step
+that depends on the rung is in ``_fit``: a double rung runs on numpy; a
+rung of 40 digits or more runs its fiber solves, factor evaluations,
+sample products, DFT, noise floors and root extraction on the (re, im)
+Decimal pairs of ``precision``, the one extended-precision kernel, on
+``decimal``.  The double fibers over the upper half circle are solved
+once per build, before the ladder: the double rung samples on them, and
+each fiber solve at 40 digits or more starts from the double fiber over
+its own sample, so the extended iteration only polishes.  Each
 fiber solve and each extraction at 40 digits or more accepts a root by one
 residual test, or raises NonConvergence.  A rung is accepted when every
 regular zero cluster, away from the critical values of the fiber
@@ -193,8 +195,8 @@ _DPS_LADDER = (None, 40, 80, 160, 320)
 
 
 class _ProductSampler:
-    """Evaluates the product of the distinct branch factors in doubles or
-    at ``dps`` digits.
+    """The distinct branch factors of the product on double-precision
+    fibers of p.
 
     The factor of an assignment phi is sum_j w_j h(z_phi(j)), so it depends
     only on the set of (weight, fiber index) pairs on the support of the
@@ -203,10 +205,10 @@ class _ProductSampler:
     assignments is the product sampled here to that power.  ``signed`` says
     whether the factors come in pairs F, -F: a permutation of the cycle maps
     its weights to their negatives, which gives every zero of the product
-    even multiplicity.  ``fiber`` and ``factors`` work in doubles when
-    ``dps`` is None and on the kernel's pairs at ``dps`` digits otherwise.
-    ``crit_values``, the critical values of p, bound the disk of
-    ``ring_ratio``.
+    even multiplicity.  ``pc`` and ``hc`` are the double mirrors of p and
+    the integrand h; ``_fit`` reads ``p``, ``integrand``, ``weights`` and
+    ``patterns`` for its extended rungs.  ``crit_values``, the critical
+    values of p, bound the disk of ``ring_ratio``.
     """
 
     def __init__(self, p, integrand, cycle, assignments, crit_values):
@@ -226,58 +228,36 @@ class _ProductSampler:
         self.weights = tuple(weights[j] for j in support)
         self.wvec = np.array(self.weights, dtype=complex)
         self.wabs = float(sum(abs(w) for w in weights))
+        self.pc = p.to_complex().coeffs
+        self.hc = integrand.to_complex()
         self.dh = integrand.derivative().to_complex()
         self.dp = p.derivative().to_complex()
-        self._cache = {}
-        self._circles = {}
 
-    def _coeffs(self, poly, dps):
-        """Coefficients of ``poly`` at precision ``dps``, cached."""
-        key = (id(poly), dps)
-        if key not in self._cache:
-            self._cache[key] = (poly.to_complex().coeffs if dps is None
-                                else to_pairs(poly.coeffs, dps))
-        return self._cache[key]
+    def fiber(self, t, init=None):
+        """The roots of p - t."""
+        return roots_raw((self.pc[0] - t,) + self.pc[1:], init=init)
 
-    def fiber(self, t, dps, init=None):
-        """The roots of p - t at precision ``dps``."""
-        c = self._coeffs(self.p, dps)
-        if dps is None:
-            return roots_raw((c[0] - t,) + c[1:], init=init)
-        return aberth_mp(shifted(c, t, dps), dps, init=init)
-
-    def circle_fibers(self, radius, k_count):
-        """The double fibers over the upper half circle, t_k = radius *
+    def circle(self, radius, k_count):
+        """The fibers over the upper half circle, t_k = radius *
         exp(2 pi i k / k_count) for k = 0 .. k_count // 2: the first cold,
-        each later one warm from the one before it.  Solved once per
-        (radius, k_count); every rung of the ladder reads them."""
-        key = (radius, k_count)
-        if key not in self._circles:
-            roots = None
-            fibers = []
-            for k in range(k_count // 2 + 1):
-                roots = self.fiber(radius * cmath.exp(2j * cmath.pi * k / k_count),
-                                   None, init=roots)
-                fibers.append(roots)
-            self._circles[key] = fibers
-        return self._circles[key]
+        each later one warm from the one before it."""
+        roots = None
+        fibers = []
+        for k in range(k_count // 2 + 1):
+            roots = self.fiber(radius * cmath.exp(2j * cmath.pi * k / k_count),
+                               init=roots)
+            fibers.append(roots)
+        return fibers
 
-    def factors(self, roots, dps):
+    def factors(self, roots):
         """The distinct branch factors on a fiber, and whether one of them
-        vanishes to noise there: to 1e-10 in doubles, 10**(8 - dps) at
-        ``dps`` digits, of sum |w| * max |integrand| on the fiber."""
-        c = self._coeffs(self.integrand, dps)
-        if dps is None:
-            vals = ComplexPoly(c).evaluate(np.asarray(roots, dtype=complex))
-            factors = vals[self.index] @ self.wvec
-            # ``1e-300`` keeps every modulus positive
-            floor = 100.0 * DEFAULT.identically_zero * (
-                self.wabs * float(np.max(np.abs(vals))) + 1e-300)
-            return factors, not np.min(np.abs(factors) + 1e-300) > floor
-        factors, log_vmax = weighted_sums(c, roots, self.weights,
-                                          self.patterns, dps)
-        floor = 8 - dps + math.log10(self.wabs) + log_vmax
-        return factors, not min(log10_abs(v) for v in factors) > floor
+        vanishes to 1e-10 of sum |w| * max |integrand| on the fiber."""
+        vals = self.hc.evaluate(np.asarray(roots, dtype=complex))
+        factors = vals[self.index] @ self.wvec
+        # ``1e-300`` keeps every modulus positive
+        floor = 100.0 * DEFAULT.identically_zero * (
+            self.wabs * float(np.max(np.abs(vals))) + 1e-300)
+        return factors, not np.min(np.abs(factors) + 1e-300) > floor
 
     def ring_ratio(self, t):
         """|N(t)| against |N| at distance delta, to first order, from the
@@ -295,8 +275,8 @@ class _ProductSampler:
                     + [0.5 * abs(t - c) for c in self.crit_values])
         if delta == 0.0:
             return math.inf
-        roots = np.asarray(self.fiber(t, None), dtype=complex)
-        factors, _ = self.factors(roots, None)
+        roots = np.asarray(self.fiber(t), dtype=complex)
+        factors, _ = self.factors(roots)
         if np.any(factors == 0.0):
             return 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -306,49 +286,74 @@ class _ProductSampler:
         return ratio if math.isfinite(ratio) else math.inf
 
 
-def _fit(sampler, degree_bound, radius, dps):
-    """Samples of the product on the circle and their DFT, in doubles when
-    ``dps`` is None and on the kernel's pairs at ``dps`` digits otherwise.
+def _fit(sampler, fibers, degree_bound, radius, dps):
+    """One rung of the ladder: the product sampled on the circle, its DFT,
+    its fitted degree and its zeros, in doubles when ``dps`` is None and on
+    the kernel's pairs at ``dps`` digits otherwise.
 
     f, g and the weights are real, so the fiber over conj(t) is the
     conjugate of the fiber over t and the product N has real coefficients:
     N(conj t) = conj N(t).  Only the upper half circle, k = 0 .. K//2, is
     solved and evaluated; the other samples are the exact conjugates of
-    their mirrors.  The double fit samples on ``sampler.circle_fibers``; at
+    their mirrors.  ``fibers`` are the double fibers over those samples
+    (``_ProductSampler.circle``).  The double fit samples on them; at
     ``dps`` digits ``aberth_mp`` solves the fiber over sample k from the
     double fiber over sample k, accurate to ~tol_root, and only polishes
     it.  The product is symmetric in the fiber, so root order does not
-    matter.  In doubles each factor is prescaled by one real number,
+    matter.  A branch factor vanishes to noise at 1e-10 in doubles and at
+    10**(8 - dps) at ``dps`` digits, relative to sum |w| * max |integrand|
+    on the fiber.  In doubles each factor is prescaled by one real number,
     taken at the real point t = radius, so the product stays in range; at
     ``dps`` digits the samples are normalised to a largest modulus of 1
-    instead.  Returns the coefficients up to ``degree_bound``, the largest
-    sample modulus and the DFT tail relative to it; raises
-    IdenticallyZeroIntegral when a branch factor vanishes to noise at every
-    sample.
+    instead.
+
+    The fitted degree is the index of the top coefficient above the fit
+    noise: ten times the DFT tail, and at least the working precision,
+    1e-13 of the largest coefficient in doubles and 10**(3 - dps) of it at
+    ``dps`` digits, so an extended fit keeps top coefficients that doubles
+    cannot see.  At ``dps`` digits the moduli are compared in log10,
+    because they may lie beyond the double range.  A double fit is rooted
+    by ``np.roots`` and accepted only at the full declared degree, since
+    doubles cannot tell a top coefficient 1e-13 below the largest from
+    noise; a fit at 40 digits or more is rooted by ``aberth_mp`` on its
+    Decimal pairs and may be shorter than the bound.
+
+    Returns (coeffs, fitted, residual, zeros): the coefficients up to
+    ``degree_bound``, in the scaled variable u = t/radius, the fitted
+    degree, the DFT tail relative to the largest sample modulus, and the
+    zeros in t units, all as complex doubles; coeffs, fitted and zeros are
+    None when the residual is above tol_fit or a double fit falls short of
+    ``degree_bound``.  Raises IdenticallyZeroIntegral when a branch factor
+    vanishes to noise at every sample.
     """
     k_count = DEFAULT.samples_factor * (degree_bound + 1)
     upper = k_count // 2 + 1
-    fibers = sampler.circle_fibers(radius, k_count)
-    if dps is not None:
-        fibers = (sampler.fiber(t, dps, init=seed) for t, seed in
-                  zip(circle_mp(radius, k_count, upper, dps), fibers))
     # a branch vanishing to noise at every sample means the product is
     # identically zero (a nonzero polynomial of degree <= D cannot be tiny
     # at all K > D samples)
     all_zero = True
-    rescale = None
     samples = []
-    for roots in fibers:
-        factors, vanishing = sampler.factors(roots, dps)
-        all_zero = all_zero and vanishing
-        if dps is not None:
+    if dps is None:
+        rescale = None
+        for roots in fibers:
+            factors, vanishing = sampler.factors(roots)
+            all_zero = all_zero and vanishing
+            if rescale is None:
+                # the real prescale at t = radius: one over the geometric
+                # mean of the factor moduli there
+                rescale = np.exp(-float(np.mean(np.log(np.abs(factors) + 1e-300))))
+            samples.append(np.prod(factors * rescale))
+    else:
+        p_pairs = to_pairs(sampler.p.coeffs, dps)
+        h_pairs = to_pairs(sampler.integrand.coeffs, dps)
+        log_wabs = math.log10(sampler.wabs)
+        for t, seed in zip(circle_mp(radius, k_count, upper, dps), fibers):
+            factors, log_vmax = weighted_sums(
+                h_pairs, aberth_mp(shifted(p_pairs, t, dps), dps, init=seed),
+                sampler.weights, sampler.patterns, dps)
+            all_zero = all_zero and not (min(log10_abs(v) for v in factors)
+                                         > 8 - dps + log_wabs + log_vmax)
             samples.append(product_mp(factors, dps))
-            continue
-        if rescale is None:
-            # the real prescale at t = radius: one over the geometric mean
-            # of the factor moduli there
-            rescale = np.exp(-float(np.mean(np.log(np.abs(factors) + 1e-300))))
-        samples.append(np.prod(factors * rescale))
     if all_zero:
         raise IdenticallyZeroIntegral(
             "a branch factor vanishes identically on the sampling circle")
@@ -359,49 +364,34 @@ def _fit(sampler, degree_bound, radius, dps):
         coeffs = np.fft.fft(samples) / k_count
         tail = (np.max(np.abs(coeffs[degree_bound + 1:]))
                 if degree_bound + 1 < k_count else 0.0)
-        return coeffs[:degree_bound + 1], max_abs, float(tail / max_abs)
-    # the decimal exponent range holds the unscaled product, so the samples
-    # need no prescale; they are normalised to a largest modulus of 1
-    samples = normalized(
-        samples + [conj(samples[k_count - k]) for k in range(upper, k_count)],
-        dps)
-    coeffs = dft_fit_mp(samples, dps)
-    tail = max((log10_abs(c) for c in coeffs[degree_bound + 1:]),
-               default=-math.inf)
-    return coeffs[:degree_bound + 1], 1.0, 10.0 ** tail
-
-
-def _fitted_degree(coeffs, tail_abs, max_abs, dps=None):
-    """Index of the top coefficient above the fit noise.
-
-    The noise floor is the working precision: 1e-13 of the largest
-    coefficient in doubles, 10**(3 - dps) of it at ``dps`` digits, so an
-    extended fit keeps top coefficients that doubles cannot see.  At
-    ``dps`` digits the moduli are compared in log10, because they may lie
-    beyond the double range.
-    """
-    if dps is None:
-        thresh = max(10.0 * tail_abs, 1e-13 * max_abs)
-        above = lambda c: abs(c) > thresh
+        residual = float(tail / max_abs)
+        if (residual > DEFAULT.tol_fit or not abs(coeffs[degree_bound])
+                > max(10.0 * tail, 1e-13 * max_abs)):
+            return None, None, residual, None
+        fitted, u_roots = degree_bound, np.roots(coeffs[degree_bound::-1])
     else:
-        log_thresh = max(math.log10(10.0 * tail_abs) if tail_abs else -math.inf,
-                         3 - dps + math.log10(max_abs))
-        above = lambda c: log10_abs(c) > log_thresh
-    return next((d for d in range(len(coeffs) - 1, 0, -1) if above(coeffs[d])),
-                0)
-
-
-def _verify_zeros(sampler, clusters):
-    """Check the first-order ring ratio of the first member of each zero
-    cluster against root_verify; the caller passes only the clusters it
-    counts.
-
-    The ratio comes from the one fiber over the zero in doubles, whatever
-    precision produced the fit: the branch factors and their Newton steps
-    resolve it far below the threshold.
-    """
-    return all(sampler.ring_ratio(members[0]) <= DEFAULT.root_verify
-               for _, members in clusters)
+        # the decimal exponent range holds the unscaled product, so the
+        # samples need no prescale; they are normalised to a largest
+        # modulus of 1
+        coeffs = dft_fit_mp(normalized(
+            samples + [conj(samples[k_count - k]) for k in range(upper, k_count)],
+            dps), dps)
+        residual = 10.0 ** max((log10_abs(c) for c in coeffs[degree_bound + 1:]),
+                               default=-math.inf)
+        if residual > DEFAULT.tol_fit:
+            return None, None, residual, None
+        floor = max(math.log10(10.0 * residual) if residual else -math.inf,
+                    3 - dps)
+        fitted = next((d for d in range(degree_bound, 0, -1)
+                       if log10_abs(coeffs[d]) > floor), 0)
+        # roots only need ~1e-12 relative accuracy downstream and a double
+        # root converges linearly, so cap the demand but let it grow with
+        # the working precision
+        u_roots = [to_complex(u) for u in aberth_mp(
+            coeffs[:fitted + 1], dps, tol_exp=max(32, (dps - 4) // 2))]
+        coeffs = [to_complex(c) for c in coeffs[:degree_bound + 1]]
+    return (tuple(complex(c) for c in coeffs[:degree_bound + 1]), fitted,
+            residual, tuple(complex(radius * u) for u in u_roots))
 
 
 def _split_regular(clusters, crit_values):
@@ -433,7 +423,7 @@ def _split_regular(clusters, crit_values):
 def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
     """Fit the product of the distinct branch factors of ``integrand`` over
     the injections of the cycle's slots into the fiber of p, once per rung
-    of the precision ladder, then extract, cluster and verify its zeros.
+    of the precision ladder, then cluster and verify its zeros.
 
     ``degree_bound``, the degree of the product over all injections, and
     deg p are capped before anything is enumerated; the fit's bound is
@@ -441,24 +431,22 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
     has radius radius_factor * (1 + max |critical value of p|) and stays
     fixed: the DFT recovers the coefficients of the product exactly
     wherever its zeros lie, and zeros far outside the circle only make the
-    top coefficients small, which a higher rung resolves.  A double fit is
-    rooted by ``np.roots`` and accepted only at the full declared degree,
-    since doubles cannot tell a top coefficient 1e-13 below the largest
-    from noise; a fit at 40 digits or more is rooted by ``aberth_mp`` on
-    its Decimal pairs, and its zeros are rounded to doubles.  A
-    sign-symmetric product starts at 40 digits: a double fit locates a
-    double zero to about the square root of its residual, so its ring
-    ratio seldom passes.  The double circle fibers are solved once, at the
-    first rung, and every rung reads them (see ``_fit``); a sign-symmetric
-    product solves them only to seed its extended fits.
+    top coefficients small, which a higher rung resolves.  The double
+    fibers over the upper half circle are solved once, before the ladder,
+    and every rung reads them (see ``_fit``).  A sign-symmetric product
+    starts at 40 digits: a double fit locates a double zero to about the
+    square root of its residual, so its ring ratio seldom passes; it
+    solves the double fibers only to seed its extended fits.
 
     Zeros are clustered at cluster_scale * (base_scale + |z|), base_scale
     from the critical values of f (those of f + eps*g lie far out when
     deg g > deg f), and the clusters on a critical value of p are set
     apart.  The first-order ring ratio then checks the first zero of each
-    regular cluster; an excluded cluster carries no count and is not
-    checked.  Under a sign symmetry an odd regular cluster means the rung
-    split a multiple zero.
+    regular cluster against root_verify, on the one double fiber over it
+    whatever rung produced the fit: the branch factors and their Newton
+    steps resolve it far below the threshold.  An excluded cluster carries
+    no count and is not checked.  Under a sign symmetry an odd regular
+    cluster means the rung split a multiple zero.
     """
     if p.degree > DEFAULT.oracle_fiber_cap:
         raise InputError(
@@ -473,40 +461,28 @@ def _build_oracle(kind, p, integrand, cycle, degree_bound, crit_f, crit_p):
     radius = DEFAULT.radius_factor * (1.0 + crit_p.max_abs)
     base_scale = DEFAULT.radius_factor * (1.0 + crit_f.max_abs)
     tol = lambda z: DEFAULT.cluster_scale * (base_scale + abs(z))
-    last_residual = None
+    fibers = sampler.circle(radius, DEFAULT.samples_factor * (degree_bound + 1))
+    residual = None
     for dps in _DPS_LADDER[1:] if sampler.signed else _DPS_LADDER:
-        coeffs, max_abs, residual = _fit(sampler, degree_bound, radius, dps)
-        last_residual = residual
-        if residual > DEFAULT.tol_fit:
+        coeffs, fitted, residual, zeros = _fit(sampler, fibers, degree_bound,
+                                               radius, dps)
+        if zeros is None:
             continue
-        fitted = _fitted_degree(coeffs, residual * max_abs, max_abs, dps)
-        if dps is None and fitted < degree_bound:
-            continue
-        if dps is None:
-            u_roots = np.roots(np.array(coeffs[fitted::-1], dtype=complex))
-            zeros = tuple(complex(radius * u) for u in u_roots)
-        else:
-            # roots only need ~1e-12 relative accuracy downstream and a
-            # double root converges linearly, so cap the demand but let it
-            # grow with the working precision
-            tol_exp = max(32, (dps - 4) // 2)
-            zeros = tuple(radius * to_complex(u) for u in
-                          aberth_mp(coeffs[:fitted + 1], dps, tol_exp=tol_exp))
-            coeffs = [to_complex(c) for c in coeffs]
         regular, excluded = _split_regular(cluster_points(zeros, tol),
                                            crit_p.critical_values)
-        if not _verify_zeros(sampler, regular):
+        if not all(sampler.ring_ratio(members[0]) <= DEFAULT.root_verify
+                   for _, members in regular):
             continue
         if sampler.signed and any(len(members) % 2 for _, members in regular):
             continue
-        return OraclePoly(kind, tuple(complex(c) for c in coeffs), radius,
-                          degree_bound, fitted, residual, dps, zeros,
+        return OraclePoly(kind, coeffs, radius, degree_bound, fitted, residual,
+                          dps, zeros,
                           tuple((center, len(members))
                                 for center, members in regular),
                           excluded, integrand.degree)
     raise FitRejected(
         f"{kind} oracle fit failed at every precision (last residual "
-        f"{last_residual})")
+        f"{residual})")
 
 
 def build_tangential_oracle(inst):

@@ -5,8 +5,8 @@ anywhere); ``ComplexPoly`` is its numeric mirror and the only lossy step.
 Every double-precision root solve runs one simultaneous Aberth-Ehrlich
 kernel on Python complex scalars, with a companion-matrix fallback held to
 the same residual test, except two that call ``np.roots`` directly:
-``melnikov._build_oracle`` extracts the zeros of a double-precision fit
-with it, and ``precision._double_seed`` seeds ``precision.aberth_mp``.
+``melnikov._fit`` extracts the zeros of a double-precision fit with it,
+and ``precision._double_seed`` seeds ``precision.aberth_mp``.
 The oracles and the continuation in epsilon solve fibers of at most
 ``oracle_fiber_cap`` (6) points, where numpy's per-call overhead on arrays
 of a few entries would cost more than the arithmetic.  A step costs d^2

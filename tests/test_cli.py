@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -139,9 +140,22 @@ class TestInstanceCommands:
 
     def test_rejected_fit_exits_3(self, capsys, paper_instance, monkeypatch):
         # no rung of the precision ladder verifies its zeros
-        monkeypatch.setattr(melnikov, "_verify_zeros", lambda *args: False)
+        monkeypatch.setattr(melnikov, "_split_regular",
+                            lambda clusters, crit_values: (tuple(clusters), ()))
+        monkeypatch.setattr(melnikov._ProductSampler, "ring_ratio",
+                            lambda *args: math.inf)
         assert main(["tangential", "--instance", paper_instance]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    def test_alien_report_states_the_last_epsilon(self, capsys, tmp_path):
+        # classify_alien counts at the end of the schedule, whatever
+        # epsilon the instance file carries
+        path = tmp_path / "paper.json"
+        path.write_text(json.dumps(dict(PAPER, epsilon="1/100")))
+        code, out = run(capsys, "alien", "--instance", str(path),
+                        "--schedule", "1/50,1/100,1/200")
+        assert code == 0
+        assert json.loads(out)["instance"]["epsilon"] == "1/200"
 
     def test_invalid_cycle_rejected(self, tmp_path, capsys):
         bad = dict(PAPER)

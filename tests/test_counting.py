@@ -574,3 +574,10 @@ class TestExperiments:
     def test_counts_never_exceed_bound(self):
         summary = run_sharpness_experiment(3, 3, "tangential", 6, seed=1)
         assert all(c <= summary["bound"] for c in summary["counts"])
+
+    @pytest.mark.parametrize("kind, cycle_mode", [
+        ("bogus", "generic"), ("tangential", "bogus")])
+    def test_unknown_kind_or_cycle_mode_rejected(self, kind, cycle_mode):
+        with pytest.raises(InputError, match="unknown"):
+            run_sharpness_experiment(3, 2, kind, 1, seed=2026,
+                                     cycle_mode=cycle_mode)

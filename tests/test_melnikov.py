@@ -15,8 +15,7 @@ from cycle_integrals.errors import (FitRejected, IdenticallyZeroIntegral,
 import mpmath as mp
 
 from cycle_integrals import melnikov
-from cycle_integrals.melnikov import (Instance, _fit, _fitted_degree,
-                                      _ProductSampler,
+from cycle_integrals.melnikov import (Instance, _fit, _ProductSampler,
                                       abelian_integral,
                                       brieskorn_dimension, brieskorn_generators,
                                       build_infinitesimal_oracle,
@@ -24,7 +23,8 @@ from cycle_integrals.melnikov import (Instance, _fit, _fitted_degree,
                                       design_g_with_zeros, displacement,
                                       reduce_deformation)
 from cycle_integrals.poly import RatPoly, critical_values
-from cycle_integrals.precision import product_mp, to_complex, to_pairs
+from cycle_integrals.precision import (aberth_mp, product_mp, shifted,
+                                       to_complex, to_pairs, weighted_sums)
 from cycle_integrals.tracking import solve_fiber
 
 PAPER_F = RatPoly([0, 0, 1, 1])        # z^3 + z^2
@@ -203,12 +203,25 @@ class TestTangentialOracle:
                            for weights in itertools.permutations(cycle.weights))
             assert residual <= 1e-7 * scale
 
-    def test_fitted_degree_floor_follows_working_precision(self):
+    def test_fitted_degree_floor_follows_working_precision(self, monkeypatch):
         # a top coefficient 1e-20 below the largest is noise in doubles
-        # but well above the floor of a 40-digit fit
-        coeffs = [1, 0.5, 1e-20]
-        assert _fitted_degree(to_pairs(coeffs, 40), 1e-38, 1, dps=40) == 2
-        assert _fitted_degree(coeffs, 1e-38, 1) == 1
+        # but well above the floor of a 40-digit fit: each rung's DFT is
+        # replaced by these coefficients, with a tail of 1e-38
+        inst = Instance(PAPER_F, PAPER_G, PAPER_C)
+        sampler = _sampler(inst)
+        radius = build_tangential_oracle(inst).radius
+        k_count = DEFAULT.samples_factor * 3
+        coeffs = [1, 0.5, 1e-20, 1e-38] + [0] * (k_count - 4)
+        monkeypatch.setattr(melnikov, "dft_fit_mp",
+                            lambda samples, dps: to_pairs(coeffs, dps))
+        monkeypatch.setattr(np.fft, "fft", lambda samples: k_count * np.array(
+            coeffs, dtype=complex))
+        fibers = sampler.circle(radius, k_count)
+        _, fitted, _, _ = _fit(sampler, fibers, 2, radius, 40)
+        assert fitted == 2
+        # the double fit drops it and so falls short of the declared degree
+        _, fitted, residual, _ = _fit(sampler, fibers, 2, radius, None)
+        assert residual <= DEFAULT.tol_fit and fitted is None
 
     def test_fit_agrees_across_precisions(self):
         # one fit at every rung: doubles and 40 digits give the same
@@ -216,29 +229,41 @@ class TestTangentialOracle:
         inst = Instance(PAPER_F, PAPER_G, PAPER_C)
         oracle = build_tangential_oracle(inst)
         sampler = _sampler(inst)
+        fibers = _circle(sampler, oracle)
         fits = []
         for dps in (None, 40):
-            coeffs, _, _ = _fit(sampler, oracle.declared_degree_bound,
-                                oracle.radius, dps)
-            coeffs = np.array([complex(c) if dps is None else to_complex(c)
-                               for c in coeffs])
+            coeffs, _, _, _ = _fit(sampler, fibers, oracle.declared_degree_bound,
+                                   oracle.radius, dps)
+            coeffs = np.array(coeffs)
             fits.append(coeffs / np.max(np.abs(coeffs)))
         assert np.max(np.abs(fits[0] - fits[1])) <= 1e-10
 
-    def test_extended_fits_carry_their_working_precision(self):
+    def test_extended_fits_carry_their_working_precision(self, monkeypatch):
         # the fits of trial 0 at 40 and 80 digits, each normalised by its
         # largest coefficient, agree to 1e-35, and the DFT tail of each is
         # at the noise of its own precision: a kernel that ran either rung
-        # at fewer digits would fail one or the other
+        # at fewer digits would fail one or the other.  The coefficients
+        # are read at their working precision, as the DFT returns them.
         oracle = build_tangential_oracle(TRIAL0)
+        bound = oracle.declared_degree_bound
+        dfts = []
+        original = melnikov.dft_fit_mp
+
+        def dft(samples, dps):
+            dfts.append(original(samples, dps))
+            return dfts[-1]
+
+        monkeypatch.setattr(melnikov, "dft_fit_mp", dft)
+        sampler = _sampler(TRIAL0)
+        fibers = _circle(sampler, oracle)
         fits = []
         with mp.workdps(100):
             for dps in (40, 80):
-                coeffs, _, residual = _fit(_sampler(TRIAL0),
-                                           oracle.declared_degree_bound,
-                                           oracle.radius, dps)
+                _, _, residual, _ = _fit(sampler, fibers, bound, oracle.radius,
+                                         dps)
                 assert residual <= 10.0 ** (8 - dps)
-                coeffs = [mp.mpc(str(re), str(im)) for re, im in coeffs]
+                coeffs = [mp.mpc(str(re), str(im))
+                          for re, im in dfts[-1][:bound + 1]]
                 top = max(coeffs, key=abs)
                 fits.append([c / top for c in coeffs])
             assert max(abs(a - b) for a, b in zip(*fits)) <= mp.mpf("1e-35")
@@ -257,6 +282,14 @@ class TestTangentialOracle:
         assert _sampler(inst).signed
 
 
+def _fail_ring_ratios(monkeypatch):
+    """Make every zero cluster regular and fail its ring ratio, so that no
+    rung verifies its zeros."""
+    monkeypatch.setattr(melnikov, "_split_regular",
+                        lambda clusters, crit_values: (tuple(clusters), ()))
+    monkeypatch.setattr(_ProductSampler, "ring_ratio", lambda *args: math.inf)
+
+
 def _rejected_fits(monkeypatch, inst):
     """The precision of each fit a tangential build makes when no rung
     verifies its zeros (None for doubles)."""
@@ -268,7 +301,7 @@ def _rejected_fits(monkeypatch, inst):
 
     original = melnikov._fit
     monkeypatch.setattr(melnikov, "_fit", fit)
-    monkeypatch.setattr(melnikov, "_verify_zeros", lambda *args: False)
+    _fail_ring_ratios(monkeypatch)
     with pytest.raises(FitRejected):
         build_tangential_oracle(inst)
     return fits
@@ -287,18 +320,35 @@ def _sampler(inst, crit_values=()):
                            crit_values)
 
 
-def _fiber_calls(monkeypatch):
-    """(t, dps, init, roots) of every fiber solve of a ``_ProductSampler``,
-    in call order."""
-    calls = []
-    original = _ProductSampler.fiber
+def _circle(sampler, oracle):
+    """The double fibers over the upper half of the circle of ``oracle``."""
+    return sampler.circle(oracle.radius, DEFAULT.samples_factor
+                          * (oracle.declared_degree_bound + 1))
 
-    def recorded(self, t, dps, init=None):
-        roots = original(self, t, dps, init=init)
-        calls.append((t, dps, init, roots))
+
+def _fiber_calls(monkeypatch, inst):
+    """(t, dps, init, roots) of every fiber solve of the tangential oracle
+    of ``inst``, in call order: the double solves of ``_ProductSampler``
+    (dps None) and the extended ones, which are the seeded ``aberth_mp``
+    calls (root extraction passes no seed).  An extended solve is of
+    f - t, so t is read off its constant coefficient."""
+    calls = []
+    double, extended = _ProductSampler.fiber, melnikov.aberth_mp
+    f0 = complex(inst.f.coeffs[0])
+
+    def recorded_double(self, t, init=None):
+        roots = double(self, t, init=init)
+        calls.append((t, None, init, roots))
         return roots
 
-    monkeypatch.setattr(_ProductSampler, "fiber", recorded)
+    def recorded_extended(coeffs, dps, init=None, **kwargs):
+        roots = extended(coeffs, dps, init=init, **kwargs)
+        if init is not None:
+            calls.append((f0 - to_complex(coeffs[0]), dps, init, roots))
+        return roots
+
+    monkeypatch.setattr(_ProductSampler, "fiber", recorded_double)
+    monkeypatch.setattr(melnikov, "aberth_mp", recorded_extended)
     return calls
 
 
@@ -313,8 +363,10 @@ class TestHalfCircleSampling:
     def test_double_fit_solves_upper_half(self, monkeypatch):
         inst = Instance(PAPER_F, PAPER_G, PAPER_C)
         oracle = build_tangential_oracle(inst)
-        calls = _fiber_calls(monkeypatch)
-        _fit(_sampler(inst), oracle.declared_degree_bound, oracle.radius, None)
+        calls = _fiber_calls(monkeypatch, inst)
+        sampler = _sampler(inst)
+        _fit(sampler, _circle(sampler, oracle), oracle.declared_degree_bound,
+             oracle.radius, None)
         assert len(calls) == _upper_half_count(oracle)
         assert all(dps is None and t.imag >= 0 for t, dps, _, _ in calls)
 
@@ -323,13 +375,15 @@ class TestHalfCircleSampling:
         # cover the upper half circle once
         oracle = build_tangential_oracle(TRIAL0)
         assert oracle.precision_dps == 40
-        calls = _fiber_calls(monkeypatch)
-        _fit(_sampler(TRIAL0), oracle.declared_degree_bound, oracle.radius, 40)
+        calls = _fiber_calls(monkeypatch, TRIAL0)
+        sampler = _sampler(TRIAL0)
+        _fit(sampler, _circle(sampler, oracle), oracle.declared_degree_bound,
+             oracle.radius, 40)
         extended = [t for t, dps, _, _ in calls if dps == 40]
         seeds = [t for t, dps, _, _ in calls if dps is None]
         assert len(extended) == len(seeds) == _upper_half_count(oracle)
         assert all(t.imag >= 0 for t in seeds)
-        assert all(abs(to_complex(t) - s) <= 1e-12 * oracle.radius
+        assert all(abs(t - s) <= 1e-12 * oracle.radius
                    for t, s in zip(extended, seeds))
 
 
@@ -350,9 +404,12 @@ class TestHalfCircleSampling:
             else:
                 t = tuple(Decimal(mp.nstr(radius * x, dps + 10))
                           for x in (turn.real, turn.imag))
-            factors, _ = sampler.factors(sampler.fiber(t, dps), dps)
             if dps is None:
+                factors, _ = sampler.factors(sampler.fiber(t))
                 return complex(np.prod(factors))
+            roots = aberth_mp(shifted(to_pairs(inst.f.coeffs, dps), t, dps), dps)
+            factors, _ = weighted_sums(to_pairs(inst.g.coeffs, dps), roots,
+                                       sampler.weights, sampler.patterns, dps)
             return mp.mpc(*(str(x) for x in product_mp(factors, dps)))
 
         with mp.workdps(dps or 15):
@@ -369,7 +426,7 @@ class TestCircleSeeds:
 
     def test_build_solves_each_double_circle_fiber_once(self, monkeypatch):
         # trial 0 fits in doubles, is rejected and climbs to 40 digits
-        calls = _fiber_calls(monkeypatch)
+        calls = _fiber_calls(monkeypatch, TRIAL0)
         oracle = build_tangential_oracle(TRIAL0)
         assert oracle.precision_dps == 40
         circle = [t for t, dps, _, _ in calls if dps is None
@@ -383,13 +440,12 @@ class TestCircleSeeds:
     ])
     def test_extended_solves_start_from_their_own_double_fiber(
             self, monkeypatch, inst):
-        calls = _fiber_calls(monkeypatch)
+        calls = _fiber_calls(monkeypatch, inst)
         oracle = build_tangential_oracle(inst)
         doubles = [(t, roots) for t, dps, _, roots in calls if dps is None]
         extended = [(t, init) for t, dps, init, _ in calls if dps is not None]
         assert extended
         for t, init in extended:
-            t = to_complex(t)
             seed = [roots for s, roots in doubles
                     if abs(s - t) <= 1e-12 * oracle.radius]
             assert len(seed) == 1 and init is seed[0]
@@ -399,8 +455,9 @@ class TestRingRatio:
     """The ring ratio of a claimed zero comes from the one fiber over it."""
 
     def test_solves_one_fiber(self, monkeypatch):
-        sampler = _sampler(Instance(PAPER_F, PAPER_G, PAPER_C))
-        calls = _fiber_calls(monkeypatch)
+        inst = Instance(PAPER_F, PAPER_G, PAPER_C)
+        sampler = _sampler(inst)
+        calls = _fiber_calls(monkeypatch, inst)
         sampler.ring_ratio(4 / 27 + 1e-7)
         assert [(t, dps) for t, dps, _, _ in calls] == [(4 / 27 + 1e-7, None)]
 

@@ -65,6 +65,39 @@ def test_one_exclusion_radius_rule():
     assert inside and everywhere == inside, everywhere
 
 
+def test_precision_has_one_home_in_the_oracle():
+    # the rung of the precision ladder is decided in melnikov._fit alone:
+    # only _fit and _build_oracle bind the name dps, as a parameter or a
+    # loop target, and the double-precision product sampler keeps no cache
+    path = Path(cycle_integrals.__file__).parent / "melnikov.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    binders = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = func.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        loops = [node.target for node in ast.walk(func)
+                 if isinstance(node, (ast.For, ast.comprehension))]
+        if (any(p.arg == "dps" for p in params)
+                or any(isinstance(n, ast.Name) and n.id == "dps"
+                       for target in loops for n in ast.walk(target))):
+            binders.add(getattr(func, "name", "<lambda>"))
+    assert binders == {"_fit", "_build_oracle"}, binders
+
+    (sampler,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                  and node.name == "_ProductSampler"]
+    dicts = [f"melnikov.py:{node.lineno}" for node in ast.walk(sampler)
+             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+             and any(isinstance(target, ast.Attribute)
+                     for target in (node.targets if isinstance(node, ast.Assign)
+                                    else [node.target]))
+             and (isinstance(node.value, (ast.Dict, ast.DictComp))
+                  or (isinstance(node.value, ast.Call)
+                      and getattr(node.value.func, "id", None) == "dict"))]
+    assert not dicts, dicts
+
+
 def test_no_settings_parameter():
     # tolerances are constants read from config.DEFAULT, never passed in
     offenders = []
