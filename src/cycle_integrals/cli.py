@@ -7,10 +7,16 @@ be certified).  Every report embeds the numerical constants of
 ``config.DEFAULT``, which no flag overrides, and a seed: the one given to
 ``experiment``, the only command that draws random inputs; the instance
 file's for ``tangential``, ``infinitesimal`` and ``alien``; 0 otherwise.
+A report's ``command`` is the subcommand that wrote it.
+
+The parser is built once per process, on the first call of ``main``, so
+importing this module builds nothing and later calls only parse.  Each
+subcommand is declared once, with its handler as the ``run`` default.
 """
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -30,10 +36,7 @@ from .serialize import (dump_report, instance_to_dict, load_instance,
 from .tracking import monodromy
 
 
-def _add_common(parser):
-    parser.add_argument("--output", help="write the JSON report here instead of stdout")
-
-
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cycle-integrals",
@@ -46,33 +49,33 @@ def _build_parser():
 
     p = sub.add_parser("tangential", help="count zeros of the first-order integral")
     p.add_argument("--instance", required=True)
-    _add_common(p)
+    p.set_defaults(run=_cmd_tangential)
 
     p = sub.add_parser("infinitesimal", help="count zeros of the displacement")
     p.add_argument("--instance", required=True)
     p.add_argument("--epsilon", help="override the instance epsilon (rational)")
-    _add_common(p)
+    p.set_defaults(run=_cmd_infinitesimal)
 
     p = sub.add_parser("alien", help="classify displacement zeros as regular or alien")
     p.add_argument("--instance", required=True)
     p.add_argument("--schedule", required=True,
                    help="decreasing epsilon list, e.g. 1/50,1/100,1/200")
-    _add_common(p)
+    p.set_defaults(run=_cmd_alien)
 
     p = sub.add_parser("bounds", help="closed-form sharp bounds for degrees (m, n)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    p.set_defaults(run=_cmd_bounds)
 
     p = sub.add_parser("certify-cycle", help="symmetry and infinity certificates")
     p.add_argument("--cycle", required=True, help="JSON integer array")
     p.add_argument("--n", type=int, required=True, help="deformation degree")
-    _add_common(p)
+    p.set_defaults(run=_cmd_certify)
 
     p = sub.add_parser("reduce", help="strip multiples of powers of f from g")
     p.add_argument("--f", required=True, help="JSON coefficient array, ascending")
     p.add_argument("--g", required=True)
-    _add_common(p)
+    p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("monodromy", help="fiber permutations around critical values")
     p.add_argument("--f", required=True)
@@ -81,13 +84,13 @@ def _build_parser():
                         "--basepoint=-0.125,0")
     p.add_argument("--real-order", action="store_true",
                    help="order an all-real fiber increasingly")
-    _add_common(p)
+    p.set_defaults(run=_cmd_monodromy)
 
     p = sub.add_parser("brieskorn", help="dimension and generators of the modulus")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--f", help="JSON coefficient array (for explicit generators)")
-    _add_common(p)
+    p.set_defaults(run=_cmd_brieskorn)
 
     p = sub.add_parser("design-g", help="deformation with prescribed integral zeros")
     p.add_argument("--f", required=True)
@@ -95,7 +98,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--targets", required=True,
                    help="comma-separated complex targets, e.g. 1,2 or 1+2j")
-    _add_common(p)
+    p.set_defaults(run=_cmd_design)
 
     p = sub.add_parser("experiment", help="randomized sharpness suite")
     p.add_argument("--m", type=int, required=True)
@@ -106,12 +109,17 @@ def _build_parser():
     p.add_argument("--cycle-mode", choices=["generic", "simple"], default="generic")
     p.add_argument("--epsilon", default="1/100")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    _add_common(p)
+    p.set_defaults(run=_cmd_experiment)
 
     p = sub.add_parser("plot-data", help="point sets from a prior report")
     p.add_argument("--report", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p)
+    p.set_defaults(run=_cmd_plot_data)
+
+    # added last, so that it ends every usage line
+    for p in sub.choices.values():
+        p.add_argument("--output",
+                       help="write the JSON report here instead of stdout")
     return parser
 
 
@@ -128,6 +136,7 @@ def _write(text, path):
 
 
 def _emit(args, payload, seed=0):
+    payload["command"] = args.command
     payload["config"] = DEFAULT.as_dict()
     payload["seed"] = seed
     _write(dump_report(payload), args.output)
@@ -177,8 +186,7 @@ def _parse_basepoint(text):
 def _cmd_tangential(args):
     inst, seed = load_instance(args.instance)
     report = count_tangential_zeros(inst)
-    payload = {"command": "tangential",
-               "instance": instance_to_dict(inst, seed),
+    payload = {"instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
     return _emit(args, payload, seed)
 
@@ -188,8 +196,7 @@ def _cmd_infinitesimal(args):
     if args.epsilon is not None:
         inst = replace(inst, epsilon=parse_rational(args.epsilon, "--epsilon"))
     report = count_infinitesimal_zeros(inst)
-    payload = {"command": "infinitesimal",
-               "instance": instance_to_dict(inst, seed),
+    payload = {"instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
     return _emit(args, payload, seed)
 
@@ -200,14 +207,13 @@ def _cmd_alien(args):
     # the report states the epsilon that classify_alien counts at
     inst = replace(inst, epsilon=schedule[-1])
     report = classify_alien(inst, schedule)
-    payload = {"command": "alien",
-               "instance": instance_to_dict(inst, seed),
+    payload = {"instance": instance_to_dict(inst, seed),
                "result": report.as_dict()}
     return _emit(args, payload, seed)
 
 
 def _cmd_bounds(args):
-    payload = {"command": "bounds", "m": args.m, "n": args.n,
+    payload = {"m": args.m, "n": args.n,
                "result": {"tangential": bound_tangential(args.m, args.n),
                           "infinitesimal": bound_infinitesimal(args.m, args.n),
                           "simple": bound_simple(args.m, args.n)}}
@@ -219,8 +225,7 @@ def _cmd_certify(args):
     cycle = Cycle(weights)
     cert = regular_at_infinity(cycle, args.n)
     group = symmetry_group(cycle)
-    payload = {"command": "certify-cycle",
-               "cycle": list(cycle.weights), "n": args.n,
+    payload = {"cycle": list(cycle.weights), "n": args.n,
                "result": {"certificate": cert.as_dict(),
                           "symmetry_order": group.order,
                           "is_simple": cycle.is_simple,
@@ -232,8 +237,7 @@ def _cmd_reduce(args):
     f = parse_poly(_json_array(args.f, "--f"), "f")
     g = parse_poly(_json_array(args.g, "--g"), "g")
     g_tilde, subtracted = reduce_deformation(f, g)
-    payload = {"command": "reduce",
-               "result": {"g_tilde": [str(c) for c in g_tilde.coeffs],
+    payload = {"result": {"g_tilde": [str(c) for c in g_tilde.coeffs],
                           "degree": g_tilde.degree,
                           "subtracted": [{"coefficient": str(a), "power": k}
                                          for a, k in subtracted]}}
@@ -246,8 +250,7 @@ def _cmd_monodromy(args):
                  else _parse_basepoint(args.basepoint))
     rep = monodromy(f, basepoint=basepoint,
                     ordering="real" if args.real_order else "lex")
-    payload = {"command": "monodromy", "f": [str(c) for c in f.coeffs],
-               "result": rep.as_dict()}
+    payload = {"f": [str(c) for c in f.coeffs], "result": rep.as_dict()}
     return _emit(args, payload)
 
 
@@ -268,8 +271,7 @@ def _cmd_brieskorn(args):
             raise InputError("brieskorn needs --m or --f")
         m = args.m
         result["dimension"] = brieskorn_dimension(m, args.n)
-    payload = {"command": "brieskorn", "m": m, "n": args.n, "result": result}
-    return _emit(args, payload)
+    return _emit(args, {"m": m, "n": args.n, "result": result})
 
 
 def _cmd_design(args):
@@ -277,8 +279,7 @@ def _cmd_design(args):
     cycle = Cycle(_json_array(args.cycle, "--cycle"))
     targets = _parse_complex_list(args.targets)
     g = design_g_with_zeros(f, cycle, targets, args.n)
-    payload = {"command": "design-g",
-               "result": {"g": [[repr(c.real), repr(c.imag)] for c in g.coeffs],
+    payload = {"result": {"g": [[repr(c.real), repr(c.imag)] for c in g.coeffs],
                           "targets": [[repr(t.real), repr(t.imag)] for t in targets],
                           "dimension": brieskorn_dimension(f.degree, args.n)}}
     return _emit(args, payload)
@@ -289,8 +290,7 @@ def _cmd_experiment(args):
         args.m, args.n, args.kind, args.trials, args.seed,
         cycle_mode=args.cycle_mode,
         epsilon=parse_rational(args.epsilon, "--epsilon"))
-    payload = {"command": "experiment", "result": summary}
-    return _emit(args, payload, args.seed)
+    return _emit(args, {"result": summary}, args.seed)
 
 
 def _plot_rows(report):
@@ -330,8 +330,7 @@ def _cmd_plot_data(args):
     report = load_report(args.report)
     header, rows = _plot_rows(report)
     if args.format == "json":
-        payload = {"command": "plot-data",
-                   "result": {"header": header,
+        payload = {"result": {"header": header,
                               "rows": [list(r) for r in rows]}}
         return _emit(args, payload)
     lines = [",".join(header)]
@@ -340,26 +339,10 @@ def _cmd_plot_data(args):
     return 0
 
 
-_COMMANDS = {
-    "tangential": _cmd_tangential,
-    "infinitesimal": _cmd_infinitesimal,
-    "alien": _cmd_alien,
-    "bounds": _cmd_bounds,
-    "certify-cycle": _cmd_certify,
-    "reduce": _cmd_reduce,
-    "monodromy": _cmd_monodromy,
-    "brieskorn": _cmd_brieskorn,
-    "design-g": _cmd_design,
-    "experiment": _cmd_experiment,
-    "plot-data": _cmd_plot_data,
-}
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -184,8 +184,25 @@ class RatPoly:
 
     def to_complex(self):
         """Numeric mirror, each coefficient rounded to a double; the only
-        lossy step."""
-        return ComplexPoly(tuple(complex(float(c)) for c in self.coeffs))
+        lossy step.
+
+        Raises InputError when a coefficient lies outside the double range:
+        its rounding would be infinite, or 0 for a nonzero coefficient.  The
+        message names the coefficient's degree and order of magnitude.
+        """
+        out = []
+        for k, c in enumerate(self.coeffs):
+            try:
+                x = float(c)
+            except OverflowError:
+                x = math.inf
+            if math.isinf(x) or (x == 0.0 and c):
+                exponent = round(math.log10(abs(c.numerator))
+                                 - math.log10(c.denominator))
+                raise InputError(f"coefficient of degree {k} is about "
+                                 f"1e{exponent}, outside the double range")
+            out.append(complex(x))
+        return ComplexPoly(tuple(out))
 
 
 def poly_gcd(a, b):
@@ -322,8 +339,8 @@ def roots_raw(coeffs, init=None):
     points distinct at 14 decimals, else from a circle enclosing the roots.
     If that does not converge, the kernel polishes the companion-matrix
     eigenvalues for up to 50 steps instead, at the same residual test, and
-    NonConvergence is raised when that fails too.  Returns an ndarray of
-    the d roots.
+    NonConvergence is raised when that fails too, or at once when a
+    coefficient is not finite.  Returns an ndarray of the d roots.
     """
     coeffs = [complex(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -349,7 +366,10 @@ def roots_raw(coeffs, init=None):
     if ok:
         return z
 
-    # companion fallback (numpy expects descending order)
+    # companion fallback (numpy expects descending order), which cannot
+    # take a non-finite coefficient
+    if not all(map(cmath.isfinite, coeffs)):
+        raise NonConvergence(f"non-finite coefficient on degree {d}")
     z = np.roots(np.array(coeffs[::-1]))
     z, ok = _aberth(coeffs, z, tol, 50)
     if ok:
@@ -426,9 +446,9 @@ def critical_values(f):
     """Critical points of f and its deduplicated critical values."""
     if f.degree < 2:
         raise InputError("critical values require deg f >= 2")
+    fc = f.to_complex()
     df = f.derivative().to_complex()
     points = roots_raw(df.coeffs)
-    fc = f.to_complex()
     values = [complex(fc.evaluate(z)) for z in points]
     tol = lambda v: DEFAULT.tol_cluster * (1.0 + abs(v))
     centers = [c for c, _ in cluster_points(values, tol)]

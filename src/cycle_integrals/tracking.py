@@ -93,6 +93,8 @@ def _sorted_roots(values, ordering):
 
 def solve_fiber(p, t, ordering="lex", critical=None):
     """Fiber of p at t in canonical order (``lex_sorted`` by (re, im))."""
+    if not cmath.isfinite(t):
+        raise InputError(f"fiber over t={t}, which is not finite")
     if critical is not None:
         for cv, r in zip(critical.critical_values, per_cv_radii(critical)):
             if abs(t - cv) <= r:
@@ -153,6 +155,9 @@ def track_path(fiber, path, critical=None):
     fails its certificate and grows again after successes.  The path must
     stay outside the hard exclusion disks around critical values.
     """
+    for waypoint in path:
+        if not cmath.isfinite(waypoint):
+            raise InputError(f"waypoint {waypoint} is not finite")
     if critical is not None:
         radii = per_cv_radii(critical)
         for a, b in zip([fiber.t] + list(path[:-1]), path):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -129,6 +130,24 @@ class TestInstanceCommands:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["monodromy", "tangential",
+                                         "design-g"])
+    def test_coefficient_outside_doubles_exits_2(self, capsys, tmp_path,
+                                                 command):
+        # 10^400 overflows a double; the message gives its degree and
+        # order of magnitude, not its 401 digits
+        f = [0, 0, 10 ** 400, 1]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(PAPER, f=f)))
+        argv = {"monodromy": ["monodromy", "--f", json.dumps(f)],
+                "tangential": ["tangential", "--instance", str(path)],
+                "design-g": ["design-g", "--f", json.dumps(f), "--cycle",
+                             "[1,2,-3]", "--n", "4", "--targets", "1,2"]}
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err == (
+            "error: coefficient of degree 2 is about 1e400, outside the "
+            "double range\n")
+
     def test_identically_zero_product_exits_2(self, tmp_path, capsys):
         # f = x^4 - x^2 and g = x^2 are both polynomials in x^2, so the
         # branch factor pairing z with -z vanishes identically
@@ -164,6 +183,30 @@ class TestInstanceCommands:
         path.write_text(json.dumps(bad))
         code, _ = run(capsys, "tangential", "--instance", str(path))
         assert code == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        main(["bounds", "--m", "3", "--n", "4"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["bounds", "--m", "3", "--n", "4"]) == 0
+        assert built == []
+
+    def test_flag_does_not_carry_over(self, capsys):
+        argv = ["monodromy", "--f", "[0,0,-1,0,1]", "--basepoint=-0.125,0"]
+        code, out = run(capsys, *argv, "--real-order")
+        assert code == 0
+        assert json.loads(out)["result"]["ordering"] == "real"
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["result"]["ordering"] == "lex"
 
 
 class TestCertify:

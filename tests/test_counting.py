@@ -545,6 +545,25 @@ class TestDefectLedger:
         assert isinstance(classify_alien(partition_draw(trial), SCHEDULE),
                           counting.AlienReport)
 
+    # draws of the benchmark's tangential pools, named pool:candidate
+    @pytest.mark.parametrize("f, g, cycle", [
+        pytest.param([Fraction(9, 2), -3, -3, 1], [3, Fraction(-3, 2), 3],
+                     (-2, 3, -1), id="tangential-32-generic-0"),
+        pytest.param([-12, -1, 12, 1], [-8, 4, -3, -10, 11], (-7, 1, 6),
+                     id="tangential-34-generic-4"),
+        pytest.param([4, 8, 10, 1], [-9, Fraction(1, 2), -3, 1, 6], (1, -1, 0),
+                     id="tangential-34-simple-4"),
+        pytest.param([Fraction(1, 3), -12, Fraction(7, 2), 1],
+                     [-1, -3, -2, Fraction(10, 3), -6], (0, 1, -1),
+                     id="tangential-34-simple-20"),
+    ])
+    @pytest.mark.xfail(strict=True, raises=BranchMatchingAmbiguous, reason=(
+        "a continued zero stalls between eps = 2.0e-3 and 4.3e-3 without "
+        "reaching a tangential zero, a critical value or the horizon"))
+    def test_pool_draw_classifies(self, f, g, cycle):
+        inst = Instance(RatPoly(f), RatPoly(g), Cycle(cycle))
+        assert isinstance(classify_alien(inst, SCHEDULE), counting.AlienReport)
+
 
 class TestExperiments:
     def test_small_tangential_suite(self):

@@ -8,7 +8,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from cycle_integrals import poly
 from cycle_integrals.config import DEFAULT
-from cycle_integrals.errors import DivisionByZeroPolynomial, ZeroPolynomial
+from cycle_integrals.errors import (DivisionByZeroPolynomial, InputError,
+                                   NonConvergence, ZeroPolynomial)
 from cycle_integrals.poly import (ComplexPoly, RatPoly, critical_values,
                                   lex_sorted, poly_gcd, roots, roots_raw)
 
@@ -189,6 +190,11 @@ class TestAberthKernel:
         assert _residuals_pass(coeffs, zs, DEFAULT.tol_root)
         assert _same_multiset(zs, np.roots(coeffs[::-1]), 1e-9)
 
+    def test_non_finite_coefficient_raises_non_convergence(self):
+        # the kernel cannot converge, and the companion fallback is skipped
+        with pytest.raises(NonConvergence, match="non-finite"):
+            roots_raw([math.nan, 1, 1])
+
 
 @pytest.mark.parametrize("noise", [(1e-17, -1e-17), (-1e-17, 1e-17),
                                    (1e-17, 1e-17), (-1e-17, -1e-17)])
@@ -235,3 +241,13 @@ def test_complex_poly_conversion_rounds_each_coefficient():
     p = RatPoly([Fraction(1, 3), Fraction(2, 7)]).to_complex()
     assert isinstance(p, ComplexPoly)
     assert p.coeffs == (complex(1 / 3), complex(2 / 7))
+
+
+@pytest.mark.parametrize("coeff, magnitude", [
+    (10 ** 400, "1e400"), (Fraction(1, 10 ** 400), "1e-400")],
+    ids=["overflow", "underflow"])
+def test_complex_poly_conversion_rejects_coefficients_outside_doubles(
+        coeff, magnitude):
+    # a double would make the coefficient infinite or 0
+    with pytest.raises(InputError, match=f"degree 2 is about {magnitude},"):
+        RatPoly([0, 0, coeff, 1]).to_complex()

@@ -61,6 +61,10 @@ class TestSolveFiber:
         with pytest.raises(InputError, match="unknown fiber ordering"):
             monodromy(RatPoly([0, 0, 1, 1]), ordering="Real")
 
+    def test_non_finite_t_rejected(self):
+        with pytest.raises(InputError, match="not finite"):
+            solve_fiber(RatPoly([0, 0, 1]).to_complex(), float("inf"))
+
 
 class TestHalvingMatch:
     @hyp_settings(max_examples=300, deadline=None)
@@ -192,8 +196,18 @@ class TestTrackPath:
         with pytest.raises(MatchingAmbiguous, match="underflow"):
             track_path(fib, [2.0])
 
+    def test_non_finite_waypoint_rejected(self):
+        # a NaN segment has no length, so it would return the start fiber
+        fib = solve_fiber(RatPoly([0, 0, 1, 1]).to_complex(), 1.0)
+        with pytest.raises(InputError, match="waypoint nan is not finite"):
+            track_path(fib, [float("nan")])
+
 
 class TestMonodromy:
+    def test_non_finite_basepoint_rejected(self):
+        with pytest.raises(InputError, match="not finite"):
+            monodromy(RatPoly([0, 0, -1, 0, 1]), basepoint=float("nan"))
+
     def test_square_swap(self):
         rep = monodromy(RatPoly([0, 0, 1]))
         assert rep.loops[0][1] == (1, 0)
