@@ -17,7 +17,6 @@ subcommand is declared once, with its handler as the ``run`` default.
 import argparse
 import cmath
 import functools
-import json
 import sys
 from dataclasses import replace
 
@@ -31,8 +30,8 @@ from .errors import InputError, MalformedReport, NumericalError
 from .melnikov import (brieskorn_dimension, brieskorn_generators,
                        design_g_with_zeros, reduce_deformation)
 from .serialize import (dump_report, instance_to_dict, load_instance,
-                        load_report, parse_fraction_list, parse_poly,
-                        parse_rational)
+                        load_report, parse_fraction_list, parse_json,
+                        parse_poly, parse_rational)
 from .tracking import monodromy
 
 
@@ -137,17 +136,14 @@ def _write(text, path):
 
 def _emit(args, payload, seed=0):
     payload["command"] = args.command
-    payload["config"] = DEFAULT.as_dict()
+    payload["config"] = DEFAULT
     payload["seed"] = seed
     _write(dump_report(payload), args.output)
     return 0
 
 
 def _json_array(text, field):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{field} must be a JSON array: {exc}") from exc
+    data = parse_json(text, InputError, f"{field} must be a JSON array")
     if not isinstance(data, list):
         raise InputError(f"{field} must be a JSON array")
     return data
@@ -207,8 +203,7 @@ def _cmd_alien(args):
     # the report states the epsilon that classify_alien counts at
     inst = replace(inst, epsilon=schedule[-1])
     report = classify_alien(inst, schedule)
-    payload = {"instance": instance_to_dict(inst, seed),
-               "result": report.as_dict()}
+    payload = {"instance": instance_to_dict(inst, seed), "result": report}
     return _emit(args, payload, seed)
 
 
@@ -237,9 +232,9 @@ def _cmd_reduce(args):
     f = parse_poly(_json_array(args.f, "--f"), "f")
     g = parse_poly(_json_array(args.g, "--g"), "g")
     g_tilde, subtracted = reduce_deformation(f, g)
-    payload = {"result": {"g_tilde": [str(c) for c in g_tilde.coeffs],
+    payload = {"result": {"g_tilde": g_tilde.coeffs,
                           "degree": g_tilde.degree,
-                          "subtracted": [{"coefficient": str(a), "power": k}
+                          "subtracted": [{"coefficient": a, "power": k}
                                          for a, k in subtracted]}}
     return _emit(args, payload)
 
@@ -250,7 +245,7 @@ def _cmd_monodromy(args):
                  else _parse_basepoint(args.basepoint))
     rep = monodromy(f, basepoint=basepoint,
                     ordering="real" if args.real_order else "lex")
-    payload = {"f": [str(c) for c in f.coeffs], "result": rep.as_dict()}
+    payload = {"f": f.coeffs, "result": rep.as_dict()}
     return _emit(args, payload)
 
 
@@ -262,8 +257,7 @@ def _cmd_brieskorn(args):
             raise InputError("--m disagrees with deg f")
         basis = brieskorn_generators(f, args.n)
         result["dimension"] = basis.dimension
-        result["generators"] = [[str(c) for c in gen.coeffs]
-                                for gen in basis.generators]
+        result["generators"] = [gen.coeffs for gen in basis.generators]
         result["generator_degrees"] = [gen.degree for gen in basis.generators]
         m = f.degree
     else:
@@ -279,8 +273,7 @@ def _cmd_design(args):
     cycle = Cycle(_json_array(args.cycle, "--cycle"))
     targets = _parse_complex_list(args.targets)
     g = design_g_with_zeros(f, cycle, targets, args.n)
-    payload = {"result": {"g": [[repr(c.real), repr(c.imag)] for c in g.coeffs],
-                          "targets": [[repr(t.real), repr(t.imag)] for t in targets],
+    payload = {"result": {"g": g.coeffs, "targets": targets,
                           "dimension": brieskorn_dimension(f.degree, args.n)}}
     return _emit(args, payload)
 

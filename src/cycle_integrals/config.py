@@ -8,7 +8,7 @@ oracles climb one fixed ladder of precisions and decide for themselves
 which rung to accept.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class Settings:
 
     # randomized experiments
     morse_separation: float = 1e-4   # critical values must be separated by scale*spread
-
-    def as_dict(self):
-        return asdict(self)
 
 
 DEFAULT = Settings()

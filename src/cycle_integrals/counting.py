@@ -28,6 +28,7 @@ from .errors import (BranchMatchingAmbiguous, CycleIntegralsError, InputError,
 from .melnikov import (Instance, brieskorn_dimension, build_infinitesimal_oracle,
                        build_tangential_oracle, reduce_deformation)
 from .poly import RatPoly, critical_values, poly_gcd, roots_raw
+from .serialize import complex_pair
 from .tracking import halving_match, separations
 
 
@@ -56,10 +57,10 @@ class ZeroReport:
             "sharp": self.sharp,
             "symmetry_order_used": self.symmetry_order_used,
             "distinct_regular_zeros": [
-                {"t": [repr(z.real), repr(z.imag)], "multiplicity": mult}
+                {"t": complex_pair(z), "multiplicity": mult}
                 for z, mult in self.distinct_regular_zeros
             ],
-            "excluded_near_critical": [[repr(z.real), repr(z.imag)]
+            "excluded_near_critical": [complex_pair(z)
                                        for z in self.excluded_near_critical],
             "fitted_degree": self.fitted_degree,
             "degree_bound": self.degree_bound,
@@ -78,7 +79,8 @@ class AlienReport:
     escapes); ``trajectory`` is aligned at the smallest epsilon and stops
     short when continuing upward met a collision.  Of each conjugate pair
     of branches one is continued and the other is its exact conjugate,
-    with the same ``class`` and ``matched``.
+    with the same ``class`` and ``matched``.  The fields are the report's
+    JSON keys, as ``serialize.dump_report`` writes them.
     """
 
     epsilon_schedule: tuple
@@ -88,28 +90,6 @@ class AlienReport:
     alien_count: int
     infinitesimal_count: int
     tangential_count: int
-
-    def as_dict(self):
-        return {
-            "epsilon_schedule": [str(e) for e in self.epsilon_schedule],
-            "tangential_zero_set": [[repr(z.real), repr(z.imag)]
-                                    for z in self.tangential_zero_set],
-            "regular_count": self.regular_count,
-            "alien_count": self.alien_count,
-            "infinitesimal_count": self.infinitesimal_count,
-            "tangential_count": self.tangential_count,
-            "branches": [
-                {
-                    "class": b["class"],
-                    "limit": (None if b["limit"] is None
-                              else [repr(b["limit"].real), repr(b["limit"].imag)]),
-                    "matched": b["matched"],
-                    "trajectory": [[repr(z.real), repr(z.imag)]
-                                   for z in b["trajectory"]],
-                }
-                for b in self.branches
-            ],
-        }
 
 
 def count_tangential_zeros(inst):

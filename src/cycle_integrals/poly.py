@@ -351,6 +351,8 @@ def roots_raw(coeffs, init=None):
     if d == 0:
         return np.zeros(0, dtype=complex)
     if d == 1:
+        if not all(map(cmath.isfinite, coeffs)):
+            raise NonConvergence("non-finite coefficient on degree 1")
         return np.array([-coeffs[0] / coeffs[1]])
 
     start = None

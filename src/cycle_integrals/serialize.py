@@ -1,12 +1,18 @@
-"""Strict JSON (de)serialization for instances and reports.
+"""The JSON format of instances and reports; no other module imports json.
 
-Instance files carry rationals as integers or "p/q" strings and reject
-unknown keys outright: a misspelled field must fail loudly, never fall
-back to a default.  Complex values are emitted as [re, im] pairs of
-decimal strings produced by repr, which keeps reports bit-reproducible.
+Writer: ``dump_report`` (sorted keys, indent 2) writes a complex number as
+``complex_pair``, the reprs [re, im], which keeps reports bit-reproducible,
+a ``Fraction`` as "p/q" and a dataclass as its fields.  Reader:
+``parse_json`` and ``read_json`` (a UTF-8 file) raise the caller's error
+class on any failure, an integer beyond Python's digit limit or bytes that
+are not UTF-8 included.  Instance files carry rationals as integers or
+"p/q" strings and reject unknown keys outright: a misspelled field must
+fail loudly, never fall back to a default.
 """
 
 import json
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 from .cycles import Cycle
 from .errors import InputError, MalformedReport
@@ -14,6 +20,46 @@ from .melnikov import Instance
 from .poly import RatPoly, as_fraction
 
 INSTANCE_KEYS = {"f", "g", "cycle", "epsilon", "seed", "precision_bits"}
+
+
+def complex_pair(z):
+    """The report form of a complex number: [repr(re), repr(im)]."""
+    return [repr(float(z.real)), repr(float(z.imag))]
+
+
+def _encode(value):
+    if isinstance(value, complex):  # numpy's complex128 is a subclass
+        return complex_pair(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"{type(value).__name__} is not part of a report")
+
+
+def dump_report(report):
+    """Serialize a report deterministically (sorted keys, repr floats)."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                      default=_encode)
+
+
+def parse_json(text, error, message):
+    """Parse ``text``; a failure raises ``error("<message>: <reason>")``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise error(f"{message}: {exc}") from exc
+
+
+def read_json(path, error, name):
+    """Parse the UTF-8 JSON file ``path``, called ``name`` in messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {name} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise error(f"{name} {path} is not valid JSON: {exc}") from exc
 
 
 def parse_rational(value, field):
@@ -62,39 +108,16 @@ def instance_from_dict(data):
 
 
 def load_instance(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read instance file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance file {path} is not valid JSON: {exc}") from exc
-    return instance_from_dict(data)
+    return instance_from_dict(read_json(path, InputError, "instance file"))
 
 
 def instance_to_dict(inst, seed=0):
-    return {
-        "f": [str(c) for c in inst.f.coeffs],
-        "g": [str(c) for c in inst.g.coeffs],
-        "cycle": list(inst.cycle.weights),
-        "epsilon": None if inst.epsilon is None else str(inst.epsilon),
-        "seed": seed,
-    }
-
-
-def dump_report(report):
-    """Serialize a report dict deterministically (sorted keys, repr floats)."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    return {"f": inst.f.coeffs, "g": inst.g.coeffs,
+            "cycle": inst.cycle.weights, "epsilon": inst.epsilon, "seed": seed}
 
 
 def load_report(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise MalformedReport(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedReport(f"report {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, MalformedReport, "report")
     if not isinstance(data, dict):
         raise MalformedReport("report must be a JSON object")
     return data

@@ -51,12 +51,13 @@ class MonodromyRep:
         return [perm for _, perm in self.loops]
 
     def as_dict(self):
+        """The report form, complex values left for ``dump_report``."""
         return {
-            "basepoint": [repr(self.basepoint.real), repr(self.basepoint.imag)],
+            "basepoint": self.basepoint,
             "ordering": self.ordering,
             "loops": [
                 {
-                    "critical_value": [repr(cv.real), repr(cv.imag)],
+                    "critical_value": cv,
                     "permutation": [p + 1 for p in perm],
                 }
                 for cv, perm in self.loops

@@ -148,6 +148,25 @@ class TestInstanceCommands:
             "error: coefficient of degree 2 is about 1e400, outside the "
             "double range\n")
 
+    @pytest.mark.parametrize("command, bad", [
+        ("monodromy", "long-integer"), ("tangential", "long-integer"),
+        ("tangential", "not-utf8"), ("plot-data", "not-utf8")])
+    def test_unparsable_json_exits_2(self, capsys, tmp_path, command, bad):
+        # an integer literal beyond Python's 4,300-digit limit, and a file
+        # that is not UTF-8, are malformed JSON like any syntax error
+        f = "[0,0,%s,1]" % ("1" * 4400)
+        path = tmp_path / "input.json"
+        if bad == "long-integer":
+            path.write_text(json.dumps(PAPER).replace(
+                '"f": [0, 0, 1, 1]', f'"f": {f}'))
+        else:
+            path.write_bytes(b"\xff\xfe" + json.dumps(PAPER).encode())
+        argv = {"monodromy": ["monodromy", "--f", f],
+                "tangential": ["tangential", "--instance", str(path)],
+                "plot-data": ["plot-data", "--report", str(path)]}
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_identically_zero_product_exits_2(self, tmp_path, capsys):
         # f = x^4 - x^2 and g = x^2 are both polynomials in x^2, so the
         # branch factor pairing z with -z vanishes identically

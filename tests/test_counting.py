@@ -538,6 +538,27 @@ class TestDefectLedger:
                         Cycle((6, -2, -4, 0)))
         assert count_tangential_zeros(inst).count == 18
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "counts 8: a 6-fold zero common to all branches is split into six"))
+    def test_partition_18_tangential_count(self):
+        assert count_tangential_zeros(partition_draw(18)).count == 3
+
+    # seed-2026 (3,5) trial 28, with its generic and its simple cycle
+    @pytest.mark.parametrize("cycle, exact", [
+        pytest.param((-1, -2, 3), 10, id="generic", marks=pytest.mark.xfail(
+            strict=True, reason=("counts 7: three zeros within 2.3e-6 of the "
+                                 "critical value -11.83215 are merged and "
+                                 "excluded"))),
+        pytest.param((-1, 1, 0), 4, id="simple", marks=pytest.mark.xfail(
+            strict=True, reason=("counts 3: a zero 2.5e-7 from the critical "
+                                 "value -11.83215 is excluded"))),
+    ])
+    def test_35_trial28_tangential_count(self, cycle, exact):
+        inst = Instance(RatPoly([Fraction(7, 3), Fraction(4, 3), -5, 1]),
+                        RatPoly([-1, 1, Fraction(11, 2), 6, 3, Fraction(-5, 3)]),
+                        Cycle(cycle))
+        assert count_tangential_zeros(inst).count == exact
+
     @pytest.mark.parametrize("trial", [38, 47, 66, 88, 181, 187, 191])
     @pytest.mark.xfail(strict=True, raises=BranchMatchingAmbiguous, reason=(
         "the downward walk of a branch stalls between eps = 1.9e-3 and 4.9e-3"))

@@ -195,6 +195,14 @@ class TestAberthKernel:
         with pytest.raises(NonConvergence, match="non-finite"):
             roots_raw([math.nan, 1, 1])
 
+    @pytest.mark.parametrize("coeffs", [[math.nan, 1], [1, math.inf]],
+                             ids=["nan-root", "infinite-leading"])
+    def test_non_finite_linear_coefficient_raises_non_convergence(self, coeffs):
+        # degree 1 is solved directly, without the kernel: -1/inf would
+        # return the root -0
+        with pytest.raises(NonConvergence, match="non-finite"):
+            roots_raw(coeffs)
+
 
 @pytest.mark.parametrize("noise", [(1e-17, -1e-17), (-1e-17, 1e-17),
                                    (1e-17, 1e-17), (-1e-17, -1e-17)])

@@ -133,6 +133,24 @@ def test_extended_precision_has_one_home():
     assert not offenders, offenders
 
 
+def test_json_has_one_home():
+    # serialize.py writes every report and parses every JSON input: no
+    # other package module imports json
+    offenders = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "json"
+                          and path.name != "serialize.py"]
+    assert not offenders, offenders
+
+
 def test_one_polynomial_toolkit():
     # polynomials are evaluated and differentiated by RatPoly and
     # ComplexPoly: no package module imports numpy.polynomial
