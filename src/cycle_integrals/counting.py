@@ -170,8 +170,8 @@ def _deflate(coeffs, z):
 
 
 class _Pencil:
-    """The polynomials f + eps*g of an instance in doubles, the cycle
-    weights, and the cusps of the pencil, shared by all its branches.
+    """The polynomials f + eps*g of an instance in doubles, its cycle, and
+    the cusps of the pencil, shared by all its branches.
 
     A cusp is a real point z where two real critical points of f + eps*g
     meet: a real zero of the Wronskian W = f''g' - f'g'', reached at
@@ -186,7 +186,7 @@ class _Pencil:
         self.g = inst.g.to_complex()
         self.df = inst.f.derivative().to_complex()
         self.dg = inst.g.derivative().to_complex()
-        self.weights = tuple(float(w) for w in inst.cycle.weights)
+        self.cycle = inst.cycle
         try:
             self.cusps = self._cusps(inst.f.derivative(), inst.g.derivative())
         except NumericalError:
@@ -285,15 +285,16 @@ class _Branch:
         roots = pencil.fiber(t, eps)
         gz = [pencil.g.evaluate(z) for z in roots]
         self.slots = min(
-            itertools.permutations(range(len(roots)), len(pencil.weights)),
-            key=lambda s: abs(sum(w * gz[k] for w, k in zip(pencil.weights, s))))
+            itertools.permutations(range(len(roots)), pencil.cycle.m),
+            key=lambda s: abs(pencil.cycle.integral(gz.__getitem__, s)))
         self.start = self.advance(_Point(eps, t, tuple(roots), 0j), eps)
         if self.start is None:
             raise BranchMatchingAmbiguous(
                 f"the displacement zero {t} does not lie on a certified branch")
 
     def advance(self, point, eps):
-        """Euler predictor and Newton corrector on G at a new epsilon.
+        """Euler predictor and Newton corrector on G at a new epsilon; G, G_t
+        and G_eps, three ``Cycle.integral``s on the slots, share one pass.
 
         The fiber of every Newton iterate must pass the halving-bijection
         certificate against ``point.roots``, the fiber of the accepted
@@ -315,7 +316,7 @@ class _Branch:
                 return None
             roots = tuple(new[k] for k in order)
             value = g_t = g_eps = 0j
-            for w, k in zip(p.weights, self.slots):
+            for w, k in zip(p.cycle.weights, self.slots):
                 z = roots[k]
                 gz, dgz = p.g.evaluate(z), p.dg.evaluate(z)
                 rate = p.df.evaluate(z) + eps * dgz
@@ -551,8 +552,6 @@ def _random_poly(rng, n):
 
 def _certificate_degree(kind, m, n, f, g):
     if kind == "tangential":
-        if n % m:
-            return n
         g_tilde, _ = reduce_deformation(f, g)
         return g_tilde.degree if not g_tilde.is_zero else n - 1
     if n < m or n % m:

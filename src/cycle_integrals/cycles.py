@@ -2,11 +2,11 @@
 bound and infinity-count formulas.
 
 A cycle is an integer weight vector (n_1, ..., n_m) with zero sum attached
-to the m points of a fiber.  Its signed symmetry group decides the
-multiplicity of the oracle's zeros: 2 when some permutation maps the
-weights to their negatives, 1 otherwise.  The regularity-at-infinity
-certificate decides whether the Bezout count is attained without losses
-on the hyperplane at infinity.
+to the m points of a fiber; ``Cycle.integral`` integrates over it.  Its
+signed symmetry group decides the multiplicity of the oracle's zeros: 2
+when some permutation maps the weights to their negatives, 1 otherwise.
+The regularity-at-infinity certificate decides whether the Bezout count
+is attained without losses on the hyperplane at infinity.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT
 from .errors import (DomainError, FiberTooLarge, GenericCycleNotFound,
-                     InvalidCycle)
+                     InvalidCycle, LengthMismatch)
 from .poly import RatPoly
 
 
@@ -48,11 +48,12 @@ class Cycle:
         nonzero = sorted(w for w in self.weights if w)
         return nonzero == [-1, 1]
 
-    def padded(self, length):
-        """Weights extended by zeros for deformed fibers with extra roots."""
-        if length < self.m:
-            raise InvalidCycle("cannot pad to a shorter length")
-        return self.weights + (0,) * (length - self.m)
+    def integral(self, h, roots):
+        """sum_j n_j h(roots[j]) over the nonzero weights, in weight order;
+        roots past the last weight, as on a deformed fiber, carry weight 0."""
+        if len(roots) < self.m:
+            raise LengthMismatch(f"{self.m} weights for {len(roots)} roots")
+        return sum(w * h(z) for w, z in zip(self.weights, roots) if w)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,10 @@ class GenericCycleNotFound(InputError):
     """Rejection sampling exhausted its retry budget."""
 
 
+class LengthMismatch(InputError):
+    """A cycle's length does not match the fiber it is laid on."""
+
+
 # -- tracking --------------------------------------------------------------
 
 class NearCriticalValue(InputError):
@@ -67,10 +71,6 @@ class MatchingAmbiguous(NumericalError):
 
 
 # -- melnikov --------------------------------------------------------------
-
-class LengthMismatch(InputError):
-    pass
-
 
 class IdentityViolation(NumericalError):
     """The exact displacement identity failed beyond tolerance."""

@@ -136,16 +136,10 @@ class BrieskornBasis:
 
 # -- integrals ---------------------------------------------------------------
 
-def abelian_integral(inst, fiber, weights=None):
-    """sum_j w_j g(z_j) over an ordered fiber; the first-order term of the
+def abelian_integral(inst, fiber):
+    """sum_j n_j g(z_j) over an ordered fiber; the first-order term of the
     displacement is the negative of this value."""
-    if weights is None:
-        weights = inst.cycle.weights
-    weights = tuple(weights) + (0,) * (len(fiber.roots) - len(weights))
-    if len(weights) != len(fiber.roots):
-        raise LengthMismatch("more weights than fiber points")
-    gc = inst.g.to_complex()
-    return sum(w * gc.evaluate(z) for w, z in zip(weights, fiber.roots) if w)
+    return inst.cycle.integral(inst.g.to_complex().evaluate, fiber.roots)
 
 
 def displacement(inst, t, branch_fiber):
@@ -155,11 +149,9 @@ def displacement(inst, t, branch_fiber):
         raise InputError("displacement requires epsilon")
     if inst.epsilon == 0:
         return 0j
-    weights = inst.cycle.padded(len(branch_fiber.roots))
-    fc = inst.f.to_complex()
-    gc = inst.g.to_complex()
-    delta = sum(w * fc.evaluate(z) for w, z in zip(weights, branch_fiber.roots) if w)
-    gsum = sum(w * gc.evaluate(z) for w, z in zip(weights, branch_fiber.roots) if w)
+    roots = branch_fiber.roots
+    delta = inst.cycle.integral(inst.f.to_complex().evaluate, roots)
+    gsum = inst.cycle.integral(inst.g.to_complex().evaluate, roots)
     eps = float(inst.epsilon)
     scale = 1.0 + abs(t) + abs(delta) + abs(eps * gsum)
     if abs(delta + eps * gsum) > DEFAULT.tol_identity * scale:
@@ -198,7 +190,8 @@ class _ProductSampler:
     """The distinct branch factors of the product on double-precision
     fibers of p.
 
-    The factor of an assignment phi is sum_j w_j h(z_phi(j)), so it depends
+    The factor of an assignment phi is sum_j w_j h(z_phi(j)), the
+    ``Cycle.integral`` of h on the fiber ordered by phi, so it depends
     only on the set of (weight, fiber index) pairs on the support of the
     weights; the first assignment seen represents its set.  Every set comes
     from the same number ``power`` of assignments, so the product over all
@@ -250,7 +243,8 @@ class _ProductSampler:
         return fibers
 
     def factors(self, roots):
-        """The distinct branch factors on a fiber, and whether one of them
+        """The distinct branch factors on a fiber, ``Cycle.integral`` batched
+        over all patterns in one matrix product, and whether one of them
         vanishes to 1e-10 of sum |w| * max |integrand| on the fiber."""
         vals = self.hc.evaluate(np.asarray(roots, dtype=complex))
         factors = vals[self.index] @ self.wvec
@@ -262,7 +256,8 @@ class _ProductSampler:
     def ring_ratio(self, t):
         """|N(t)| against |N| at distance delta, to first order, from the
         fiber over t: the product over the distinct factors F of
-        min(1, |F| / (|F'| delta)), F' = sum_j w_j h'(z_j) / p'(z_j).
+        min(1, |F| / (|F'| delta)), F' = sum_j w_j h'(z_j) / p'(z_j), the
+        ``Cycle.integral`` of h'/p' batched like the factors.
 
         delta is ring_delta * (1 + |t|), but at most half the distance from
         t to the nearest critical value c of p: near c two fiber roots
@@ -489,14 +484,12 @@ def build_tangential_oracle(inst):
     """Product of the distinct branch factors of the integral of g on the
     cycle over all fiber orderings.
 
-    When deg f divides deg g the deformation is reduced first; raises
-    IdenticallyZeroIntegral when it reduces to zero.  The product over all
-    orderings has degree at most deg(g_tilde) * (m-1)!.
+    The deformation is reduced first, a no-op unless deg f divides deg g;
+    raises IdenticallyZeroIntegral when it reduces to zero.  The product
+    over all orderings has degree at most deg(g_tilde) * (m-1)!.
     """
     m = inst.m
-    g_eff = inst.g
-    if inst.n % m == 0:
-        g_eff, _ = reduce_deformation(inst.f, inst.g)
+    g_eff, _ = reduce_deformation(inst.f, inst.g)
     crit = critical_values(inst.f)
     if g_eff.is_zero:
         raise IdenticallyZeroIntegral(
@@ -599,17 +592,13 @@ def design_g_with_zeros(f, cycle, targets, n):
     if len(set(targets)) != len(targets):
         raise InputError("targets must be pairwise distinct")
     crit = critical_values(f)
-    weights = cycle.weights
     pc = f.to_complex()
     fibers = [solve_fiber(pc, t, critical=crit) for t in targets]
-    rows = []
-    for fib in fibers:
-        gens_at = []
-        for gen in basis.generators:
-            gc = gen.to_complex()
-            gens_at.append(sum(w * gc.evaluate(fib.roots[j])
-                               for j, w in enumerate(weights) if w))
-        rows.append(gens_at)
+    gens = [gen.to_complex().evaluate for gen in basis.generators]
+    rows = [[cycle.integral(h, fib.roots) for h in gens] for fib in fibers]
+    for t, row in zip(targets, rows):
+        if not all(cmath.isfinite(v) for v in row):
+            raise SingularDesignSystem(f"integrals overflow at target {t}")
     a = np.array(rows, dtype=complex)
     _, _, vh = np.linalg.svd(a)
     x = vh[-1].conj()
@@ -623,8 +612,7 @@ def design_g_with_zeros(f, cycle, targets, n):
     # check it on the fibers the rows were built from
     scale = max(1.0, float(np.max(np.abs(a))))
     for t, fib in zip(targets, fibers):
-        val = sum(w * g.evaluate(fib.roots[j])
-                  for j, w in enumerate(weights) if w)
+        val = cycle.integral(g.evaluate, fib.roots)
         if abs(val) > DEFAULT.tol_design * scale:
             raise SingularDesignSystem(
                 f"design residual {abs(val):.2e} at target {t}; "

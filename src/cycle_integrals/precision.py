@@ -149,7 +149,8 @@ def circle_mp(radius, count, stop, dps):
 
 def weighted_sums(coeffs, points, weights, patterns, dps):
     """sum_j weights[j] * h(points[pattern[j]]) for each pattern, with h the
-    polynomial of ascending ``coeffs``, and log10 of max |h(point)|."""
+    polynomial of ascending ``coeffs``, and log10 of max |h(point)|: the
+    ``Cycle.integral`` of h batched over the patterns on Decimal pairs."""
     with _working(dps):
         vals = [_horner(coeffs, z) for z in points]
         sums = []

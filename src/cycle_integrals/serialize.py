@@ -11,6 +11,7 @@ fail loudly, never fall back to a default.
 """
 
 import json
+import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -38,9 +39,16 @@ def _encode(value):
 
 
 def dump_report(report):
-    """Serialize a report deterministically (sorted keys, repr floats)."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
-                      default=_encode)
+    """Serialize a report deterministically (sorted keys, repr floats); an
+    integer beyond Python's digit limit raises InputError, a NaN does not."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                          default=_encode)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise InputError("the report holds an integer beyond Python's limit "
+                         f"of {sys.get_int_max_str_digits()} digits") from exc
 
 
 def parse_json(text, error, message):

@@ -279,6 +279,11 @@ class TestDesignCommand:
         assert g and all(isinstance(float(part), float)
                          for coeff in g for part in coeff)
 
+    def test_overflowing_target_exits_3(self, capsys):
+        assert main(["design-g", "--f", "[0,0,0,1]", "--cycle", "[1,-1,0]",
+                     "--n", "4", "--targets", "1e300"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
 
 class TestBrieskornCommand:
     def test_dimension_only(self, capsys):
@@ -307,6 +312,20 @@ class TestOutput:
         missing = str(tmp_path / "missing" / "out")
         assert main(argv + ["--output", missing]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        # 1999! has 5,733 digits
+        ["bounds", "--m", "2000", "--n", "2001"],
+        # g = x^10 reduced by f = x + 1 + c x^2, c = 10^1000 + 1, subtracts
+        # f^5 / c^5, whose denominator has 5,001 digits
+        ["reduce", "--f", "[1,1,1%s1]" % ("0" * 999), "--g",
+         json.dumps([0] * 10 + [1])],
+    ], ids=["bounds-integer", "reduce-fraction"])
+    def test_number_beyond_digit_limit_exits_2(self, capsys, argv):
+        # Python refuses to write an integer of more than 4,300 digits
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4300 digits" in err
 
 
 class TestPlotData:

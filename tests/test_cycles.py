@@ -12,7 +12,7 @@ from cycle_integrals.cycles import (Cycle, bound_infinitesimal, bound_simple,
                                     random_simple_cycle, regular_at_infinity,
                                     symmetry_group)
 from cycle_integrals.errors import (DomainError, GenericCycleNotFound,
-                                    InvalidCycle)
+                                    InvalidCycle, LengthMismatch)
 
 
 def weights(m):
@@ -45,8 +45,14 @@ class TestCycle:
         assert not Cycle((2, -2, 0)).is_simple
         assert not Cycle((1, 1, -2)).is_simple
 
-    def test_padding(self):
-        assert Cycle((1, -1)).padded(4) == (1, -1, 0, 0)
+    def test_integral_gives_extra_roots_weight_zero(self):
+        # sum_j n_j h(z_j) in weight order; the roots of a deformed fiber
+        # past the last weight do not contribute
+        assert Cycle((1, -1)).integral(lambda z: z * z, (2, 3, 100)) == -5
+
+    def test_integral_needs_a_root_per_weight(self):
+        with pytest.raises(LengthMismatch, match="3 weights for 2"):
+            Cycle((1, 1, -2)).integral(lambda z: z, (1.0, 2.0))
 
 
 class TestSymmetryGroup:

@@ -36,9 +36,9 @@ class TestIntegrals:
     def test_square_root_branch_closed_form(self):
         # f = z^2, g = z^3, branch ordered (sqrt t, -sqrt t): integral is
         # 2 t^(3/2); the lex fiber order is (-sqrt t, sqrt t)
-        inst = Instance(RatPoly([0, 0, 1]), RatPoly([0, 0, 0, 1]), Cycle((1, -1)))
+        inst = Instance(RatPoly([0, 0, 1]), RatPoly([0, 0, 0, 1]), Cycle((-1, 1)))
         fib = solve_fiber(inst.f.to_complex(), 4.0)
-        value = abelian_integral(inst, fib, weights=(-1, 1))
+        value = abelian_integral(inst, fib)
         assert value == pytest.approx(2 * 4.0 ** 1.5, abs=1e-9)
 
     def test_even_integrand_on_symmetric_fiber(self):
@@ -199,7 +199,8 @@ class TestTangentialOracle:
         for z in oracle.zeros:
             fib = solve_fiber(f.to_complex(), z)
             scale = wabs * max(abs(gc.evaluate(r)) for r in fib.roots)
-            residual = min(abs(abelian_integral(inst, fib, weights))
+            residual = min(abs(abelian_integral(Instance(f, g, Cycle(weights)),
+                                                fib))
                            for weights in itertools.permutations(cycle.weights))
             assert residual <= 1e-7 * scale
 
@@ -573,3 +574,11 @@ class TestDesign:
     def test_overconstrained_rejected(self):
         with pytest.raises(SingularDesignSystem):
             design_g_with_zeros(PAPER_F, Cycle((1, 2, -3)), [1.0, 2.0, 3.0], 4)
+
+    def test_overflowing_target_rejected(self):
+        # the generators overflow to inf on the fiber over 1e300, which
+        # the SVD cannot take; 1e100 still designs a g
+        f = RatPoly([0, 0, 0, 1])
+        with pytest.raises(SingularDesignSystem, match=r"1e\+300"):
+            design_g_with_zeros(f, Cycle((1, -1, 0)), [1e300], 4)
+        design_g_with_zeros(f, Cycle((1, -1, 0)), [1e100], 4)
