@@ -577,9 +577,9 @@ def design_g_with_zeros(f, cycle, targets, n):
     Solves the kernel of the interpolation system over the Brieskorn
     generators and checks each target residual of the result on the fibers
     the system was built from.  Raises SingularDesignSystem when the
-    targets exhaust or degenerate the available dimensions.  Returns a
-    ComplexPoly for every target list: with no targets, the first
-    generator.
+    targets exhaust or degenerate the available dimensions, or when the
+    generator integrals overflow at one.  Returns a ComplexPoly for every
+    target list: with no targets, the first generator.
     """
     basis = brieskorn_generators(f, n)
     dim = basis.dimension
